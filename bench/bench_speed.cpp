@@ -1,7 +1,8 @@
 // Reproduces the §VII "Training and Inference Speed" measurements with
 // google-benchmark:
-//   * per-binary end-to-end analysis (disassembled stream -> recovered,
-//     typed variables) — the paper's "about 6 seconds per binary";
+//   * per-binary end-to-end analysis (stripped image -> typed-variable
+//     report, the cati-infer path) — the paper's "about 6 seconds per
+//     binary";
 //   * VUC extraction throughput;
 //   * per-VUC prediction latency (all six stages);
 //   * per-variable voting latency;
@@ -26,6 +27,7 @@
 #include "harness/harness.h"
 #include "ir/passes.h"
 #include "loader/image.h"
+#include "serve/analysis.h"
 #include "serve/client.h"
 #include "serve/server.h"
 
@@ -90,22 +92,23 @@ void BM_VoteVariable(benchmark::State& state) {
 BENCHMARK(BM_VoteVariable)->Unit(benchmark::kMicrosecond);
 
 void BM_AnalyzeBinaryEndToEnd(benchmark::State& state) {
-  // The headline number: one stripped binary through variable recovery,
-  // VUC extraction, six-stage prediction and voting.
+  // The headline number: one stripped binary through the path cati-infer
+  // runs (serve::analyzeImage) — disassembly, variable recovery, the
+  // interprocedural pass, VUC extraction, one six-stage predict over every
+  // VUC of the binary, voting and report rendering — on one worker.
   Engine& e = bundle().engine();
   const synth::Binary bin = testBinary();
-  size_t vars = 0;
+  loader::Image img = loader::buildImage(bin);
+  loader::strip(img);
+  par::ThreadPool pool(1);
   const obs::Snapshot base = bench::metricsBaseline();
   for (auto _ : state) {
-    vars = 0;
-    for (const synth::FunctionCode& fn : bin.funcs) {
-      const auto out = e.analyzeFunction(fn.insns);
-      vars += out.size();
-      benchmark::DoNotOptimize(out);
-    }
+    const serve::AnalyzeResult res = serve::analyzeImage(e, img, &pool, 0);
+    benchmark::DoNotOptimize(res);
   }
   exportMetricsColumns(state, base);
-  state.counters["variables"] = static_cast<double>(vars);
+  state.counters["vucs"] = static_cast<double>(
+      serve::PreparedRequest(e, img, &pool, 0.0F).vucs().size());
   state.counters["instructions"] =
       static_cast<double>(bin.totalInstructions());
 }

@@ -1,10 +1,12 @@
 // The fully-faithful end-to-end pipeline, file formats included:
 //
 //   synthesize -> encode to machine code -> write image -> strip ->
-//   read back -> disassemble bytes -> recover variables -> infer types
+//   read back -> disassemble bytes -> recover variables (with the
+//   interprocedural pass) -> infer types -> typed-variable report
 //
 // This is the library-API version of what the cati-synth / cati-strip /
-// cati-infer command-line tools do, and the closest analog of the paper's
+// cati-infer command-line tools do — the last steps are serve::analyzeImage,
+// the exact call cati-infer makes — and the closest analog of the paper's
 // deployment scenario: the analyst only ever holds the stripped file.
 #include <cstdio>
 #include <sstream>
@@ -12,6 +14,7 @@
 #include "cati/engine.h"
 #include "corpus/corpus.h"
 #include "loader/image.h"
+#include "serve/analysis.h"
 #include "synth/synth.h"
 
 int main() {
@@ -45,20 +48,10 @@ int main() {
               "survive (.dynsym)\n",
               received.stripped() ? "yes" : "no", received.symbols.size());
 
-  // Disassemble the bytes and run inference per function.
-  size_t typed = 0;
-  for (const loader::LoadedFunction& fn : loader::disassemble(received)) {
-    const auto vars = engine.analyzeFunction(fn.insns);
-    std::printf("\n%s (%zu instructions):\n", fn.name.c_str(),
-                fn.insns.size());
-    for (const AnalyzedVariable& av : vars) {
-      std::printf("  rsp%+-6lld -> %-22s conf %.2f (%zu VUCs)\n",
-                  static_cast<long long>(av.location.offset),
-                  std::string(typeName(av.type)).c_str(), av.confidence,
-                  av.numVucs);
-      ++typed;
-    }
-  }
-  std::printf("\n%zu variables typed from raw bytes\n", typed);
+  // Disassemble the bytes, recover and type every function, and render the
+  // report cati-infer would print.
+  const serve::AnalyzeResult res =
+      serve::analyzeImage(engine, received, nullptr, 0);
+  std::printf("\n%s", res.report.c_str());
   return 0;
 }

@@ -637,11 +637,6 @@ double Engine::occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u) {
 }
 
 Engine::FunctionWork Engine::prepareFunction(
-    std::span<const asmx::Instruction> insns) const {
-  return prepareFunction(insns, dataflow::recoverVariables(insns));
-}
-
-Engine::FunctionWork Engine::prepareFunction(
     std::span<const asmx::Instruction> insns,
     dataflow::RecoveryResult rec) const {
   if (!trained()) throw std::logic_error("prepareFunction: not trained");
@@ -718,18 +713,10 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
 std::vector<AnalyzedVariable> Engine::analyzeFunction(
     std::span<const asmx::Instruction> insns, par::ThreadPool* pool,
     int batch, DiagList* diags) {
-  return analyzeFunction(insns, dataflow::recoverVariables(insns), pool,
-                         batch, diags);
-}
-
-std::vector<AnalyzedVariable> Engine::analyzeFunction(
-    std::span<const asmx::Instruction> insns, dataflow::RecoveryResult rec,
-    par::ThreadPool* pool, int batch, DiagList* diags) {
   static obs::Histogram& analyzeNs = obs::timer("engine.analyze_ns");
   const obs::ScopedTimer timing(analyzeNs);
-  const FunctionWork work = prepareFunction(insns, std::move(rec));
-  // Every VUC of the function is predicted in one batched fan-out, then
-  // votes gather per variable — same per-VUC results as the serial loop.
+  const FunctionWork work =
+      prepareFunction(insns, dataflow::recoverVariables(insns));
   const std::vector<StageProbs> allProbs =
       predictVucs(work.ds.vucs, pool, batch);
   return finishFunction(work, allProbs, diags);
@@ -870,7 +857,12 @@ bool Engine::loadTrainCheckpoint(const TrainCheckpointing& ck,
 
 void Engine::checkDeadline() const {
   if (!deadline_) return;
-  if (std::chrono::steady_clock::now() <= *deadline_) return;
+  // The engine.deadline fault probe expires an armed deadline on demand, so
+  // tests can time out at an exact check instead of racing the clock.
+  if (fault::hit("engine.deadline") == fault::Action::kNone &&
+      std::chrono::steady_clock::now() <= *deadline_) {
+    return;
+  }
   static obs::Counter& timeouts = obs::counter("engine.analyze.timeout");
   timeouts.add();
   throw TimeoutError("engine: analysis deadline exceeded (--timeout-ms)");
@@ -879,6 +871,30 @@ void Engine::checkDeadline() const {
 // --- int8 quantization + the CQNT container (DESIGN.md §11) -----------------
 
 namespace {
+
+/// The model header both containers (CENG and CQNT) open with: the config
+/// fields inference depends on.
+void writeModelHeader(io::Writer& w, const EngineConfig& cfg) {
+  w.pod(cfg.window);
+  w.pod(cfg.w2v.dim);
+  w.pod(cfg.conv1);
+  w.pod(cfg.conv2);
+  w.pod(cfg.fcHidden);
+  w.pod(cfg.voteClip);
+  w.pod(static_cast<uint8_t>(cfg.clipEnabled ? 1 : 0));
+}
+
+EngineConfig readModelHeader(io::Reader& r) {
+  EngineConfig cfg;
+  cfg.window = r.pod<int>();
+  cfg.w2v.dim = r.pod<int>();
+  cfg.conv1 = r.pod<int>();
+  cfg.conv2 = r.pod<int>();
+  cfg.fcHidden = r.pod<int>();
+  cfg.voteClip = r.pod<float>();
+  cfg.clipEnabled = r.pod<uint8_t>() != 0;
+  return cfg;
+}
 
 constexpr uint32_t kQuantMagic = 0x43514e54;  // "CQNT"
 constexpr uint32_t kQuantVersion = 1;
@@ -972,13 +988,7 @@ void Engine::saveQuantized(std::ostream& os) const {
   std::ostringstream metaBuf;
   {
     io::Writer w(metaBuf);
-    w.pod(cfg_.window);
-    w.pod(cfg_.w2v.dim);
-    w.pod(cfg_.conv1);
-    w.pod(cfg_.conv2);
-    w.pod(cfg_.fcHidden);
-    w.pod(cfg_.voteClip);
-    w.pod(static_cast<uint8_t>(cfg_.clipEnabled ? 1 : 0));
+    writeModelHeader(w, cfg_);
     encoder_->save(metaBuf);
     w.pod<uint64_t>(heap.size());
     w.pod<uint32_t>(io::crc32(heap.data(), heap.size()));
@@ -1039,15 +1049,7 @@ Engine Engine::loadQuantized(std::istream& is, const char* mapBase,
       is, kQuantMagic, kQuantVersion, "quantized engine",
       [&](std::istream& body) {
         io::Reader r(body);
-        EngineConfig cfg;
-        cfg.window = r.pod<int>();
-        cfg.w2v.dim = r.pod<int>();
-        cfg.conv1 = r.pod<int>();
-        cfg.conv2 = r.pod<int>();
-        cfg.fcHidden = r.pod<int>();
-        cfg.voteClip = r.pod<float>();
-        cfg.clipEnabled = r.pod<uint8_t>() != 0;
-        Engine eng(cfg);
+        Engine eng(readModelHeader(r));
         eng.encoder_.emplace(embed::VucEncoder::load(body));
         heapLen = r.pod<uint64_t>();
         heapCrc = r.pod<uint32_t>();
@@ -1163,13 +1165,7 @@ void Engine::save(std::ostream& os) const {
   }
   io::writeChecksummed(os, 0x43454e47 /*"CENG"*/, 2, [&](std::ostream& body) {
     io::Writer w(body);
-    w.pod(cfg_.window);
-    w.pod(cfg_.w2v.dim);
-    w.pod(cfg_.conv1);
-    w.pod(cfg_.conv2);
-    w.pod(cfg_.fcHidden);
-    w.pod(cfg_.voteClip);
-    w.pod(static_cast<uint8_t>(cfg_.clipEnabled ? 1 : 0));
+    writeModelHeader(w, cfg_);
     encoder_->save(body);
     for (const auto& s : stages_) s.save(body);
   });
@@ -1186,15 +1182,7 @@ Engine Engine::load(std::istream& is) {
   return io::readChecksummed(
       is, 0x43454e47, 2, "engine", [](std::istream& body) {
         io::Reader r(body);
-        EngineConfig cfg;
-        cfg.window = r.pod<int>();
-        cfg.w2v.dim = r.pod<int>();
-        cfg.conv1 = r.pod<int>();
-        cfg.conv2 = r.pod<int>();
-        cfg.fcHidden = r.pod<int>();
-        cfg.voteClip = r.pod<float>();
-        cfg.clipEnabled = r.pod<uint8_t>() != 0;
-        Engine e(cfg);
+        Engine e(readModelHeader(r));
         e.encoder_.emplace(embed::VucEncoder::load(body));
         for (int s = 0; s < kNumStages; ++s) {
           e.stages_.push_back(nn::Sequential::load(body));

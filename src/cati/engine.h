@@ -120,10 +120,9 @@ class Engine {
 
   bool trained() const { return encoder_.has_value(); }
 
-  /// Wall-clock deadline for analysis (--timeout-ms): predictVucs /
-  /// analyzeFunction check it between NN sub-batches and throw
-  /// cati::TimeoutError on expiry, so a caller always gets back with the
-  /// partial results it accumulated so far. nullopt (default) disables.
+  /// Wall-clock deadline for analysis (--timeout-ms): prepareFunction and
+  /// every NN sub-batch of predictVucs check it and throw cati::TimeoutError
+  /// on expiry. nullopt (default) disables.
   void setDeadline(std::optional<std::chrono::steady_clock::time_point> d) {
     deadline_ = d;
   }
@@ -158,55 +157,45 @@ class Engine {
   /// confidence. Values < 1 mean instruction k supported the prediction.
   double occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u);
 
-  // --- end-to-end stripped-binary analysis ---
-  /// Recovers variables from one function's instructions, extracts VUCs,
-  /// predicts and votes. The full §III pipeline with src/dataflow standing
-  /// in for IDA Pro. One poisoned variable degrades (a Diag in `diags` +
-  /// the engine.analyze.degraded counter) instead of aborting the function;
-  /// only TimeoutError escapes, after the deadline set by setDeadline.
-  std::vector<AnalyzedVariable> analyzeFunction(
-      std::span<const asmx::Instruction> insns,
-      par::ThreadPool* pool = nullptr, int batch = 0,
-      DiagList* diags = nullptr);
-  /// Same pipeline with the recovery supplied by the caller (loader graph
-  /// and/or interprocedural facts); skips the internal recoverVariables.
-  std::vector<AnalyzedVariable> analyzeFunction(
-      std::span<const asmx::Instruction> insns, dataflow::RecoveryResult rec,
-      par::ThreadPool* pool = nullptr, int batch = 0,
-      DiagList* diags = nullptr);
+  // --- stripped-binary analysis, in three phases (DESIGN.md §10) ---
+  // Phase 1 prepareFunction (recovery supplied, VUC extraction), phase 2
+  // predictVucs, phase 3 finishFunction (voting). serve::PreparedRequest
+  // runs phase 1 for every function of a binary and one predictVucs over
+  // all their VUCs — cati-infer for one binary, cati-serve across the
+  // requests of a group. Kernels preserve per-sample accumulation order, so
+  // the votes, and the rendered report, do not depend on how VUCs were
+  // grouped into predicts.
 
-  // --- request-scoped analysis (the cati-serve split, DESIGN.md §10) ---
-  // analyzeFunction is prepareFunction -> predictVucs -> finishFunction.
-  // cati-serve runs the same three phases but shares ONE predictVucs call
-  // across the prepared functions of many requests, so queued work from
-  // different clients fills common batch lanes. Kernels preserve per-sample
-  // accumulation order, so the coalesced probabilities — and therefore the
-  // votes and the rendered report — are bit-identical to the per-function
-  // path.
-
-  /// The deterministic, model-independent share of analyzeFunction:
-  /// recovered variables plus this function's extracted (unlabeled) VUCs.
+  /// One function's recovered variables plus its extracted (unlabeled) VUCs.
   struct FunctionWork {
     dataflow::RecoveryResult rec;
     corpus::Dataset ds;  ///< function-local var ids; vucs in extraction order
   };
 
-  /// Phase 1: recovery + VUC extraction. Counts the function toward the
-  /// engine.analyze.* metrics and honours the analysis deadline.
-  FunctionWork prepareFunction(std::span<const asmx::Instruction> insns) const;
-  /// Phase 1 with the recovery supplied by the caller — e.g. computed from
-  /// a loader FunctionGraph (decode-cache hits skip relowering), possibly
-  /// decorated with interprocedural facts. Extraction still runs here.
+  /// Phase 1: VUC extraction over a recovery supplied by the caller —
+  /// typically computed from a loader FunctionGraph (decode-cache hits skip
+  /// relowering) and decorated with interprocedural facts. Counts the
+  /// function toward the engine.analyze.* metrics and honours the deadline.
   FunctionWork prepareFunction(std::span<const asmx::Instruction> insns,
                                dataflow::RecoveryResult rec) const;
 
   /// Phase 3: voting + confidence over `probs`, which must hold one
   /// StageProbs per work.ds.vucs entry, in order (typically a slice of a
-  /// coalesced predictVucs result). Per-variable degradation behaves exactly
-  /// as in analyzeFunction.
+  /// coalesced predictVucs result); only each VUC's varId is read. One
+  /// poisoned variable degrades (a Diag in `diags` + the
+  /// engine.analyze.degraded counter) instead of aborting the function.
   std::vector<AnalyzedVariable> finishFunction(
       const FunctionWork& work, std::span<const StageProbs> probs,
       DiagList* diags = nullptr) const;
+
+  /// All three phases for one bare instruction list, recovering variables
+  /// with dataflow::recoverVariables and no interprocedural facts — for
+  /// callers without a loaded image (examples, tests, benches). Timed as
+  /// engine.analyze_ns. Only TimeoutError escapes, after the deadline.
+  std::vector<AnalyzedVariable> analyzeFunction(
+      std::span<const asmx::Instruction> insns,
+      par::ThreadPool* pool = nullptr, int batch = 0,
+      DiagList* diags = nullptr);
 
   // --- int8 quantization (DESIGN.md §11) ---
   /// Builds the int8 quantized twin of this trained fp32 engine: weights
@@ -243,8 +232,8 @@ class Engine {
 
  private:
   /// Per-worker inference state: one nn::Scratch per stage net plus the
-  /// reusable batch input buffer. Grown lazily, reused across predictVucs /
-  /// analyzeFunction calls so steady-state inference allocates nothing.
+  /// reusable batch input buffer. Grown lazily, reused across predictVucs
+  /// calls so steady-state inference allocates nothing.
   struct WorkerState {
     std::vector<nn::Scratch> stages;
     std::vector<float> input;  // [batch x inputShape]

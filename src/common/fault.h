@@ -4,6 +4,8 @@
 //
 //   fault::failPoint("fs.write");        // may throw an injected IoError
 //   fault::killPoint("train.checkpoint") // may _exit(kKillExit) on the spot
+//   fault::hit("engine.deadline")        // any action: the armed analysis
+//                                        // deadline counts as expired
 //
 // With no configuration every probe is a single relaxed atomic load — the
 // layer costs nothing in normal operation. Faults are armed through the

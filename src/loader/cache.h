@@ -1,9 +1,11 @@
 // Per-function decode+lowering cache.
 //
 // Decoding a function body and lowering it to the IR is pure: the result
-// depends only on (start address, symbol table, bytes). cati-infer
-// re-analysing the same file and the cati-serve batch loop seeing the same
-// binary across requests repeat that work verbatim — this cache shares it.
+// depends only on (start address, symbol table, bytes). The cati-serve
+// batch loop seeing the same binary across requests repeats that work
+// verbatim — this cache shares it. (A single disassemble call never hits:
+// lookups run before its serial merge inserts, and every key carries its
+// function's address.)
 // An entry holds the symbolized instruction stream, the per-instruction
 // addresses, the decode diagnostics (replayed into the caller's DiagList),
 // and the lowered FunctionGraph shared by pointer.

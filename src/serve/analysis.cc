@@ -83,9 +83,9 @@ void appendFunctionReport(std::string& out, const loader::Image& img,
   }
 }
 
-void appendSummary(std::string& out, const ReportStats& stats, long timeoutMs,
-                   bool timedOut, size_t fnsDone, size_t fnsTotal,
-                   DiagList* diags) {
+/// The summary line without its newline: finish() ends it there,
+/// finishTimedOut() appends the TIMEOUT note first.
+void appendSummary(std::string& out, const ReportStats& stats) {
   appendf(out, "\n%zu variables typed", stats.total);
   if (stats.withTruth > 0) {
     appendf(out, "; accuracy vs surviving debug info: %.1f%% (%zu/%zu)",
@@ -93,61 +93,15 @@ void appendSummary(std::string& out, const ReportStats& stats, long timeoutMs,
                 static_cast<double>(stats.withTruth),
             stats.correct, stats.withTruth);
   }
-  if (timedOut) {
-    appendf(out, "; TIMEOUT after %ldms: %zu/%zu functions analyzed",
-            timeoutMs, fnsDone, fnsTotal);
-    addDiag(diags, Severity::Warning, DiagStage::Engine, 0,
-            "analysis deadline exceeded: partial results (" +
-                std::to_string(fnsDone) + "/" + std::to_string(fnsTotal) +
-                " functions)");
-  }
-  appendf(out, "\n");
 }
 
 void addDegradedFnDiag(DiagList* diags, const loader::LoadedFunction& fn,
                        const std::exception& e) {
   // Per-function isolation: one poisoned function must not abort the
-  // binary. Record it and move on — same counter and text on both paths.
+  // binary. Record it and move on.
   obs::counter("engine.analyze.degraded").add();
   addDiag(diags, Severity::Warning, DiagStage::Engine, fn.addr,
           "function " + fn.name + " skipped (degraded): " + e.what());
-}
-
-/// Recovering disassembly, routed through the decode+lowering cache when
-/// one is supplied (the cached overload needs a pool; fall back to an
-/// inline single-thread pool so the cache still works without one).
-std::vector<loader::LoadedFunction> disassembleFor(const loader::Image& img,
-                                                   DiagList& diags,
-                                                   par::ThreadPool* pool,
-                                                   loader::DecodeCache* cache) {
-  if (cache != nullptr) {
-    if (pool != nullptr) return loader::disassemble(img, diags, *pool, *cache);
-    par::ThreadPool inlinePool(1);
-    return loader::disassemble(img, diags, inlinePool, *cache);
-  }
-  return pool != nullptr ? loader::disassemble(img, diags, *pool)
-                         : loader::disassemble(img, diags);
-}
-
-/// Shared front half of both analysis paths: recover every function off its
-/// loader FunctionGraph (decode-cache hits skip relowering), then run the
-/// binary-level interprocedural pass so parameter hints decorate the
-/// recoveries before any per-function work begins.
-std::vector<dataflow::RecoveryResult> recoverAll(
-    const std::vector<loader::LoadedFunction>& fns) {
-  std::vector<dataflow::RecoveryResult> recs(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) {
-    recs[i] = fns[i].graph != nullptr
-                  ? dataflow::recoverVariables(*fns[i].graph)
-                  : dataflow::recoverVariables(fns[i].insns);
-  }
-  std::vector<dataflow::FunctionView> views(fns.size());
-  for (size_t i = 0; i < fns.size(); ++i) {
-    views[i] = {fns[i].name,      fns[i].addr,        fns[i].insns,
-                fns[i].insnAddrs, fns[i].graph.get(), &recs[i]};
-  }
-  dataflow::propagateCallFacts(views);
-  return recs;
 }
 
 }  // namespace
@@ -155,48 +109,46 @@ std::vector<dataflow::RecoveryResult> recoverAll(
 AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
                            par::ThreadPool* pool, int batch,
                            const AnalyzeOptions& opts) {
-  AnalyzeResult res;
+  const auto start = std::chrono::steady_clock::now();
+  const PreparedRequest prep(engine, img, pool, opts.confMin, opts.cache);
   if (opts.timeoutMs > 0) {
-    engine.setDeadline(std::chrono::steady_clock::now() +
-                       std::chrono::milliseconds(opts.timeoutMs));
+    engine.setDeadline(start + std::chrono::milliseconds(opts.timeoutMs));
   }
-  const std::vector<loader::LoadedFunction> fns =
-      disassembleFor(img, res.diags, pool, opts.cache);
-  std::vector<dataflow::RecoveryResult> recs = recoverAll(fns);
-  ReportStats stats;
-  size_t fnsDone = 0;
-  bool timedOut = false;
-  for (size_t i = 0; i < fns.size(); ++i) {
-    const loader::LoadedFunction& fn = fns[i];
-    std::vector<AnalyzedVariable> vars;
-    try {
-      vars = engine.analyzeFunction(fn.insns, std::move(recs[i]), pool, batch,
-                                    &res.diags);
-    } catch (const TimeoutError&) {
-      // Clean partial output: everything analyzed so far stays valid.
-      timedOut = true;
-      break;
-    } catch (const std::exception& e) {
-      addDegradedFnDiag(&res.diags, fn, e);
-      continue;
-    }
-    ++fnsDone;
-    if (vars.empty()) continue;
-    appendFunctionReport(res.report, img, fn, vars, opts.confMin, stats);
+  std::vector<StageProbs> probs;
+  try {
+    probs = engine.predictVucs(prep.vucs(), pool, batch);
+  } catch (const TimeoutError&) {
+    engine.setDeadline(std::nullopt);
+    return prep.finishTimedOut(opts.timeoutMs);
   }
-  appendSummary(res.report, stats, opts.timeoutMs, timedOut, fnsDone,
-                fns.size(), &res.diags);
   engine.setDeadline(std::nullopt);
-  return res;
+  return prep.finish(engine, probs);
 }
 
 PreparedRequest::PreparedRequest(const Engine& engine, loader::Image img,
                                  par::ThreadPool* pool, float confMin,
                                  loader::DecodeCache* cache)
     : img_(std::move(img)), confMin_(confMin) {
+  // Recovering disassembly; an inline pool stands in when the caller has
+  // none (the output does not depend on the job count).
+  std::optional<par::ThreadPool> inlinePool;
+  if (pool == nullptr) pool = &inlinePool.emplace(1);
   std::vector<loader::LoadedFunction> fns =
-      disassembleFor(img_, preDiags_, pool, cache);
-  std::vector<dataflow::RecoveryResult> recs = recoverAll(fns);
+      cache != nullptr ? loader::disassemble(img_, preDiags_, *pool, *cache)
+                       : loader::disassemble(img_, preDiags_, *pool);
+
+  // Recover every function off its loader FunctionGraph (decode-cache hits
+  // skip relowering), then run the binary-level interprocedural pass so
+  // parameter hints decorate the recoveries before extraction.
+  std::vector<dataflow::RecoveryResult> recs(fns.size());
+  std::vector<dataflow::FunctionView> views(fns.size());
+  for (size_t i = 0; i < fns.size(); ++i) {
+    recs[i] = dataflow::recoverVariables(*fns[i].graph);
+    views[i] = {fns[i].name,      fns[i].addr,        fns[i].insns,
+                fns[i].insnAddrs, fns[i].graph.get(), &recs[i]};
+  }
+  dataflow::propagateCallFacts(views);
+
   fns_.reserve(fns.size());
   for (size_t i = 0; i < fns.size(); ++i) {
     PreparedFn pf;
@@ -204,10 +156,17 @@ PreparedRequest::PreparedRequest(const Engine& engine, loader::Image img,
     try {
       Engine::FunctionWork work =
           engine.prepareFunction(pf.fn.insns, std::move(recs[i]));
+      // The windows move into the request-wide buffer; finishFunction reads
+      // only each VUC's var id, so that is all the work keeps.
       pf.vucBegin = vucs_.size();
-      vucs_.insert(vucs_.end(), work.ds.vucs.begin(), work.ds.vucs.end());
-      pf.vucEnd = vucs_.size();
+      for (corpus::Vuc& v : work.ds.vucs) {
+        corpus::Vuc idOnly;
+        idOnly.varId = v.varId;
+        vucs_.push_back(std::exchange(v, std::move(idOnly)));
+      }
       pf.work = std::move(work);
+    } catch (const TimeoutError&) {
+      throw;
     } catch (const std::exception& e) {
       addDegradedFnDiag(&pf.frag, pf.fn, e);
     }
@@ -220,34 +179,43 @@ AnalyzeResult PreparedRequest::finish(const Engine& engine,
   AnalyzeResult res;
   res.diags = preDiags_;
   ReportStats stats;
-  size_t fnsDone = 0;
   for (const PreparedFn& pf : fns_) {
     // Diagnostics assemble per function so a prepare-phase degradation in a
     // later function cannot jump ahead of an earlier function's vote-phase
-    // diagnostics — the offline loop emits strictly in function order.
+    // diagnostics.
     DiagList frag = pf.frag;
-    bool ok = pf.work.has_value();
     std::vector<AnalyzedVariable> vars;
-    if (ok) {
+    if (pf.work) {
       try {
         vars = engine.finishFunction(
-            *pf.work, probs.subspan(pf.vucBegin, pf.vucEnd - pf.vucBegin),
+            *pf.work, probs.subspan(pf.vucBegin, pf.work->ds.vucs.size()),
             &frag);
       } catch (const std::exception& e) {
-        ok = false;
         addDegradedFnDiag(&frag, pf.fn, e);
       }
     }
-    if (ok) {
-      ++fnsDone;
-      if (!vars.empty()) {
-        appendFunctionReport(res.report, img_, pf.fn, vars, confMin_, stats);
-      }
+    if (!vars.empty()) {
+      appendFunctionReport(res.report, img_, pf.fn, vars, confMin_, stats);
     }
     res.diags.insert(res.diags.end(), frag.begin(), frag.end());
   }
-  appendSummary(res.report, stats, /*timeoutMs=*/0, /*timedOut=*/false,
-                fnsDone, fns_.size(), nullptr);
+  appendSummary(res.report, stats);
+  res.report += '\n';
+  return res;
+}
+
+AnalyzeResult PreparedRequest::finishTimedOut(long timeoutMs) const {
+  AnalyzeResult res;
+  res.diags = preDiags_;
+  for (const PreparedFn& pf : fns_) {
+    res.diags.insert(res.diags.end(), pf.frag.begin(), pf.frag.end());
+  }
+  appendSummary(res.report, ReportStats{});
+  appendf(res.report, "; TIMEOUT after %ldms: 0/%zu functions analyzed\n",
+          timeoutMs, fns_.size());
+  addDiag(&res.diags, Severity::Warning, DiagStage::Engine, 0,
+          "analysis deadline exceeded: partial results (0/" +
+              std::to_string(fns_.size()) + " functions)");
   return res;
 }
 

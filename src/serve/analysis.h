@@ -1,24 +1,18 @@
 // Request-scoped analysis shared by cati-infer and cati-serve
-// (DESIGN.md §10). One renderer produces the typed-variable report for both
-// the offline tool and the daemon, which is what makes the serving
-// equivalence guarantee structural: there is no second formatting path to
-// drift.
+// (DESIGN.md §10). There is one pipeline, PreparedRequest, and one renderer:
 //
-// Two entry points:
+//   phase 1  the constructor: disassemble, recover every function, run the
+//            interprocedural pass, extract every function's VUCs into one
+//            buffer (per-function degradation happens here);
+//   phase 2  the caller: ONE Engine::predictVucs over vucs();
+//   phase 3  finish(): votes, per-variable degradation, report rendering.
 //
-//   * analyzeImage — the offline path: the exact cati-infer loop (one
-//     analyzeFunction per function, per-function degradation, optional
-//     deadline with clean partial output). cati-infer prints the returned
-//     report verbatim.
-//
-//   * PreparedRequest — the serving path: phase 1 (recovery + VUC
-//     extraction) for every function of one request up front, exposing the
-//     concatenated VUCs so the daemon can run ONE batched predictVucs over
-//     many requests; phase 3 (voting + rendering) from this request's slice
-//     of the coalesced probabilities. Because the batch-major kernels
-//     preserve per-sample accumulation order (DESIGN.md §7), the slice is
-//     bit-identical to what per-function predicts would have produced, so
-//     finish() renders byte-identical output to analyzeImage.
+// cati-serve concatenates many requests' vucs() into one predict. cati-infer
+// (analyzeImage) runs the same three phases on a group of one, so offline
+// and serve output are byte-identical by construction: there is no second
+// analysis loop or formatting path to drift. Batch-major kernels preserve
+// per-sample accumulation order (DESIGN.md §7), so a request's slice of a
+// coalesced predict is bit-identical to predicting it alone.
 #pragma once
 
 #include <optional>
@@ -39,8 +33,8 @@ struct AnalyzeOptions {
   /// output matches an offline run without one.
   long timeoutMs = 0;
   /// Optional decode+lowering cache shared across analyses of the same
-  /// bytes (cati-infer re-analysis, the daemon's batch loop). Purely a
-  /// speedup: output is bit-identical with or without it.
+  /// bytes (the daemon's batch loop). Purely a speedup: output is
+  /// bit-identical with or without it.
   loader::DecodeCache* cache = nullptr;
 };
 
@@ -49,11 +43,13 @@ struct AnalyzeResult {
   DiagList diags;      ///< disassembly + degradation diagnostics, tool order
 };
 
-/// The full offline analysis of one image: disassemble, analyze every
-/// function (per-function isolation: a poisoned function degrades to a
-/// Warning diag), render the report. With timeoutMs > 0 a deadline is set on
-/// the engine and expiry yields clean partial output, exactly as cati-infer
-/// documents. The engine's deadline is cleared before returning.
+/// The full offline analysis of one image: a PreparedRequest of one image,
+/// one predictVucs over its VUCs, then finish(). With timeoutMs > 0 the
+/// budget runs from this call: phase 1 always completes, and the deadline,
+/// armed on the engine for the predict, is checked before every NN
+/// sub-batch. Expiry yields a clean report with no function typed and the
+/// `TIMEOUT after Tms: 0/N functions analyzed` summary (finishTimedOut).
+/// The engine's deadline is cleared before returning.
 AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
                            par::ThreadPool* pool, int batch,
                            const AnalyzeOptions& opts = {});
@@ -64,31 +60,36 @@ class PreparedRequest {
   /// `pool`, through `cache` when given), recover every function off its
   /// FunctionGraph, run the interprocedural call-fact pass over the whole
   /// binary, then Engine::prepareFunction per function. A function whose
-  /// preparation throws degrades exactly like the offline loop (same diag
-  /// text, same engine.analyze.degraded counter) and contributes no VUCs.
+  /// preparation throws degrades to a Warning diag (and the
+  /// engine.analyze.degraded counter) and contributes no VUCs; a
+  /// TimeoutError from a deadline armed on `engine` propagates.
   PreparedRequest(const Engine& engine, loader::Image img,
                   par::ThreadPool* pool, float confMin,
                   loader::DecodeCache* cache = nullptr);
 
   /// Every VUC of every surviving function, concatenated in function order —
-  /// the daemon's unit of cross-request coalescing.
+  /// the unit of prediction (and of the daemon's cross-request coalescing).
+  /// Each VUC is held once: the per-function work keeps only its var ids.
   const std::vector<corpus::Vuc>& vucs() const { return vucs_; }
 
   /// Phase 3: votes, per-variable degradation and report rendering from this
   /// request's probabilities (probs.size() must equal vucs().size()).
-  /// Diagnostics are assembled in offline order: disassembly first, then
-  /// each function's fragment in function order regardless of which phase
-  /// produced it.
+  /// Diagnostics are assembled in function order: disassembly first, then
+  /// each function's fragment regardless of which phase produced it.
   AnalyzeResult finish(const Engine& engine,
                        std::span<const StageProbs> probs) const;
+
+  /// Phase 3 when the predict was cut by a `timeoutMs` deadline: no function
+  /// is typed, the summary ends in the TIMEOUT line, and a Warning diag
+  /// follows the disassembly and preparation diagnostics.
+  AnalyzeResult finishTimedOut(long timeoutMs) const;
 
  private:
   struct PreparedFn {
     loader::LoadedFunction fn;
     /// nullopt when preparation degraded (diag already in `frag`).
     std::optional<Engine::FunctionWork> work;
-    size_t vucBegin = 0;
-    size_t vucEnd = 0;
+    size_t vucBegin = 0;  ///< this function's first VUC in vucs_
     DiagList frag;  ///< this function's prepare-phase diagnostics
   };
 

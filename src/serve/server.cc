@@ -396,7 +396,8 @@ void Server::processGroup(std::vector<Job>& group) {
   // Phase 2: ONE batched predict over every miss's VUCs — queued work from
   // different requests shares batch lanes here. Per-sample accumulation
   // order is preserved by the kernels, so each request's slice is
-  // bit-identical to a per-function predict (DESIGN.md §7/§10).
+  // bit-identical to predicting that request alone, as cati-infer does
+  // (DESIGN.md §7/§10).
   std::vector<StageProbs> probs;
   if (!allVucs.empty()) {
     coalescedVucs.add(allVucs.size());

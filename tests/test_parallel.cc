@@ -22,6 +22,8 @@
 #include "common/obs.h"
 #include "common/parallel.h"
 #include "common/rng.h"
+#include "loader/image.h"
+#include "serve/analysis.h"
 #include "support/micro_model.h"
 
 namespace cati {
@@ -254,19 +256,37 @@ TEST(JobsInvariance, ModelPredictionAndVoteBytesIdenticalAcrossJobs) {
     EXPECT_TRUE(da.stageClass == db.stageClass) << "var " << v;
   }
 
-  // End-to-end analyze path (recovery + extraction + predict + vote).
+  // End-to-end analyze path — the one cati-infer runs (disassembly,
+  // recovery, interproc, extraction, one predict, vote, render): report and
+  // rendered diagnostics are byte-identical at any job count and batch size.
   const auto bins = testsupport::microBinaries();
   ASSERT_FALSE(bins.empty());
-  ASSERT_FALSE(bins[0].funcs.empty());
-  const auto& insns = bins[0].funcs[0].insns;
-  const auto varsSerial = engine.analyzeFunction(insns);
-  const auto varsPool = engine.analyzeFunction(insns, &pool);
-  ASSERT_EQ(varsSerial.size(), varsPool.size());
-  for (size_t i = 0; i < varsSerial.size(); ++i) {
-    EXPECT_EQ(varsSerial[i].type, varsPool[i].type) << "variable " << i;
-    EXPECT_EQ(varsSerial[i].confidence, varsPool[i].confidence)
-        << "variable " << i;
-    EXPECT_EQ(varsSerial[i].numVucs, varsPool[i].numVucs) << "variable " << i;
+  for (const bool stripped : {true, false}) {
+    loader::Image img = loader::buildImage(bins[0]);
+    if (stripped) loader::strip(img);
+    std::string refReport;
+    std::string refDiags;
+    for (const int jobs : {1, 4}) {
+      par::ThreadPool imgPool(jobs);
+      for (const int batch : {1, 32}) {
+        const serve::AnalyzeResult res =
+            serve::analyzeImage(engine, img, &imgPool, batch);
+        std::ostringstream diags;
+        print(res.diags, diags);
+        if (refReport.empty()) {
+          ASSERT_NE(res.report.find("variables typed"), std::string::npos);
+          refReport = res.report;
+          refDiags = diags.str();
+          continue;
+        }
+        EXPECT_EQ(res.report, refReport)
+            << "stripped=" << stripped << " jobs=" << jobs
+            << " batch=" << batch;
+        EXPECT_EQ(diags.str(), refDiags)
+            << "stripped=" << stripped << " jobs=" << jobs
+            << " batch=" << batch;
+      }
+    }
   }
 }
 

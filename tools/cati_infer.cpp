@@ -8,12 +8,14 @@
 // images with garbage bytes degrade via recovering disassembly. One
 // poisoned function degrades to a warning + the engine.analyze.degraded
 // metric; the rest of the binary is still typed. --timeout-ms bounds the
-// whole analysis: on expiry the report ends cleanly with the functions
-// analyzed so far and a note naming how many were cut.
+// analysis: the binary's VUCs are predicted in one batched call, checked
+// against the deadline before every NN sub-batch; on expiry the tool exits 0
+// with a clean report whose summary reads `TIMEOUT after Tms: 0/N functions
+// analyzed` — no function is typed from a cut predict.
 //
-// The analysis loop and report renderer live in serve::analyzeImage, shared
-// with the cati-serve daemon — the serving equivalence guarantee
-// (DESIGN.md §10) is that the daemon replies with these exact bytes.
+// The analysis runs through serve::analyzeImage, which is the cati-serve
+// pipeline (serve::PreparedRequest) on a group of one image — the serving
+// equivalence guarantee (DESIGN.md §10) holds by construction.
 //
 // Usage: cati-infer MODEL.bin IMAGE.img [--confidence-min X] [--jobs N]
 //                   [--timeout-ms T]
@@ -97,12 +99,8 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   }
 
   // common.batch (or CATI_BATCH) sets the inference batch; results are
-  // identical at any batch size, only throughput changes. The decode cache
-  // makes repeat analysis of the same functions (re-runs, shared bodies)
-  // skip decode + IR lowering; it never changes output.
+  // identical at any batch size, only throughput changes.
   par::ThreadPool pool(par::resolveJobs(jobs));
-  loader::DecodeCache decodeCache;
-  opts.cache = &decodeCache;
   const serve::AnalyzeResult result =
       serve::analyzeImage(engine, *img, &pool, common.batch, opts);
   std::fputs(result.report.c_str(), stdout);
