@@ -340,10 +340,11 @@ void BM_DisassembleRecoverJobs(benchmark::State& state) {
   loader::Image img = loader::buildImage(testBinary());
   loader::strip(img);
   par::ThreadPool pool(static_cast<int>(state.range(0)));
+  loader::DecodeCache noCache(0);
   size_t fns = 0;
   for (auto _ : state) {
     DiagList diags;
-    const auto out = loader::disassemble(img, diags, pool);
+    const auto out = loader::disassemble(img, diags, pool, noCache);
     fns = out.size();
     benchmark::DoNotOptimize(out);
   }

@@ -36,12 +36,14 @@ bool supported(Isa isa) {
       // The exact subsets the kernels use: 512-bit fp FMA (F), byte/word
       // integer ops and masks for the int8 quantizer (BW), 512-bit
       // float<->int converts (DQ), 128/256-bit encodings for tails (VL)
-      // and vpdpbusd for the int8 dot reduction (VNNI).
+      // and vpdpbusd for the int8 dot reduction (VNNI), plus the VEX FMA
+      // the conv kernel's 256-bit tail issues (_mm256_fmadd_ps).
       return __builtin_cpu_supports("avx512f") &&
              __builtin_cpu_supports("avx512bw") &&
              __builtin_cpu_supports("avx512dq") &&
              __builtin_cpu_supports("avx512vl") &&
-             __builtin_cpu_supports("avx512vnni");
+             __builtin_cpu_supports("avx512vnni") &&
+             __builtin_cpu_supports("fma");
   }
   return false;
 }

@@ -1,103 +1,58 @@
 #include "loader/cache.h"
 
-#include <algorithm>
-
-#include "common/serialize.h"
-
 namespace cati::loader {
 
-uint64_t DecodeCache::hashKey(uint64_t addr, uint64_t salt,
-                              std::span<const uint8_t> bytes) {
-  const uint32_t crc = io::crc32(bytes.data(), bytes.size());
-  // splitmix-style mix of address, symbolization salt and content hash.
-  uint64_t h = (addr ^ (salt << 1)) * 0x9E3779B97F4A7C15ull ^ crc;
-  h ^= h >> 30;
-  h *= 0xBF58476D1CE4E5B9ull;
-  h ^= h >> 27;
-  return h;
+std::string DecodeCache::makeKey(uint64_t addr, uint64_t salt,
+                                 std::span<const uint8_t> bytes) {
+  std::string key(reinterpret_cast<const char*>(&addr), sizeof addr);
+  key.append(reinterpret_cast<const char*>(&salt), sizeof salt);
+  key.append(reinterpret_cast<const char*>(bytes.data()), bytes.size());
+  return key;
 }
 
-size_t DecodeCache::entryCost(std::span<const uint8_t> bytes,
-                              const Entry& e) {
-  // Approximate resident cost: raw key bytes plus decoded/lowered forms.
-  return bytes.size() + e.insns.size() * (sizeof(asmx::Instruction) + 16) +
+size_t DecodeCache::entryCost(const std::string& key, const Entry& e) {
+  // Approximate resident cost: the key plus decoded/lowered forms.
+  return key.size() + e.insns.size() * (sizeof(asmx::Instruction) + 16) +
          e.insnAddrs.size() * sizeof(uint64_t) +
          (e.graph ? e.graph->ops.size() * sizeof(ir::Op) +
                         e.graph->blocks.size() * sizeof(ir::Block)
                   : 0) +
-         sizeof(Rec);
-}
-
-DecodeCache::LruList::iterator DecodeCache::findRec(
-    uint64_t addr, uint64_t salt, std::span<const uint8_t> bytes) {
-  const uint64_t h = hashKey(addr, salt, bytes);
-  const auto bucket = byHash_.find(h);
-  if (bucket == byHash_.end()) return lru_.end();
-  for (const auto it : bucket->second) {
-    if (it->addr == addr && it->salt == salt &&
-        it->bytes.size() == bytes.size() &&
-        std::equal(bytes.begin(), bytes.end(), it->bytes.begin())) {
-      return it;
-    }
-  }
-  return lru_.end();
+         sizeof(Entry);
 }
 
 std::shared_ptr<const DecodeCache::Entry> DecodeCache::find(
     uint64_t addr, uint64_t salt, std::span<const uint8_t> bytes) const {
-  auto* self = const_cast<DecodeCache*>(this);
+  const std::string key = makeKey(addr, salt, bytes);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = self->findRec(addr, salt, bytes);
-  if (it == self->lru_.end()) {
+  const auto* entry = lru_.find(key);
+  if (entry == nullptr) {
     ++misses_;
     return nullptr;
   }
   ++hits_;
-  return it->entry;
+  return *entry;
 }
 
 void DecodeCache::promote(uint64_t addr, uint64_t salt,
                           std::span<const uint8_t> bytes) {
+  const std::string key = makeKey(addr, salt, bytes);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto it = findRec(addr, salt, bytes);
-  if (it != lru_.end()) lru_.splice(lru_.begin(), lru_, it);
+  lru_.touch(key);
 }
 
 size_t DecodeCache::insert(uint64_t addr, uint64_t salt,
                            std::span<const uint8_t> bytes,
                            std::shared_ptr<const Entry> entry) {
+  std::string key = makeKey(addr, salt, bytes);
+  const size_t cost = entryCost(key, *entry);
   std::lock_guard<std::mutex> lock(mu_);
-  const auto existing = findRec(addr, salt, bytes);
-  if (existing != lru_.end()) {
-    // Two identical boundaries raced to decode (hostile images can repeat a
-    // boundary): keep the incumbent, just refresh recency.
-    lru_.splice(lru_.begin(), lru_, existing);
-    return 0;
-  }
-  Rec rec;
-  rec.hash = hashKey(addr, salt, bytes);
-  rec.addr = addr;
-  rec.salt = salt;
-  rec.bytes.assign(bytes.begin(), bytes.end());
-  rec.cost = entryCost(bytes, *entry);
-  rec.entry = std::move(entry);
-  if (rec.cost > maxBytes_) return 0;  // would never fit; don't thrash
-  bytes_ += rec.cost;
-  lru_.push_front(std::move(rec));
-  byHash_[lru_.front().hash].push_back(lru_.begin());
-
-  size_t evicted = 0;
-  while (bytes_ > maxBytes_ && !lru_.empty()) {
-    const auto victim = std::prev(lru_.end());
-    auto& bucket = byHash_[victim->hash];
-    bucket.erase(std::find(bucket.begin(), bucket.end(), victim));
-    if (bucket.empty()) byHash_.erase(victim->hash);
-    bytes_ -= victim->cost;
-    lru_.erase(victim);
-    ++evicted;
-  }
-  evictions_ += evicted;
-  return evicted;
+  // Two identical boundaries raced to decode (hostile images can repeat a
+  // boundary): keep the incumbent, just refresh recency.
+  if (lru_.touch(key)) return 0;
+  const auto evicted = lru_.insert(std::move(key), std::move(entry), cost);
+  if (!evicted) return 0;  // would never fit; don't thrash
+  evictions_ += evicted->size();
+  return evicted->size();
 }
 
 DecodeCache::Stats DecodeCache::stats() const {
@@ -107,15 +62,13 @@ DecodeCache::Stats DecodeCache::stats() const {
   s.misses = misses_;
   s.evictions = evictions_;
   s.entries = lru_.size();
-  s.bytes = bytes_;
+  s.bytes = lru_.bytes();
   return s;
 }
 
 void DecodeCache::clear() {
   std::lock_guard<std::mutex> lock(mu_);
   lru_.clear();
-  byHash_.clear();
-  bytes_ = 0;
 }
 
 }  // namespace cati::loader

@@ -10,12 +10,16 @@
 // addresses, the decode diagnostics (replayed into the caller's DiagList),
 // and the lowered FunctionGraph shared by pointer.
 //
-// Keying: the key is (start address, symbol-table fingerprint, exact
-// bytes). The same bytes at a different address decode differently (rel32
-// branch targets resolve against the instruction address), and the same
-// bytes under a different symbol table symbolize differently (stripped vs
-// unstripped), so both participate. The hash is CRC32(bytes) mixed with
-// address and fingerprint; collisions fall back to a full byte compare.
+// Keying: the key is the byte string addr || symbol-table fingerprint ||
+// exact bytes. The same bytes at a different address decode differently
+// (rel32 branch targets resolve against the instruction address), and the
+// same bytes under a different symbol table symbolize differently (stripped
+// vs unstripped), so both participate. Bucketing, full-key compare and
+// byte-budget eviction are the shared ByteLru (common/lru.h); this class
+// keeps the key, the entry cost, the lock and the counters.
+//
+// A 0-byte budget means off: disassemble() then makes no lookups and no
+// inserts and reports no loader.cache.* counters.
 //
 // Determinism contract (DESIGN.md §13): lookups during the loader's
 // parallel fan-out never mutate LRU state; promotions and insertions are
@@ -25,15 +29,15 @@
 #pragma once
 
 #include <cstdint>
-#include <list>
 #include <memory>
 #include <mutex>
 #include <span>
-#include <unordered_map>
+#include <string>
 #include <vector>
 
 #include "asmx/instruction.h"
 #include "common/diag.h"
+#include "common/lru.h"
 #include "ir/ir.h"
 
 namespace cati::loader {
@@ -42,8 +46,10 @@ class DecodeCache {
  public:
   static constexpr size_t kDefaultBytes = 32ull << 20;
 
-  explicit DecodeCache(size_t maxBytes = kDefaultBytes)
-      : maxBytes_(maxBytes) {}
+  explicit DecodeCache(size_t maxBytes = kDefaultBytes) : lru_(maxBytes) {}
+
+  /// False for a 0-byte budget: the cache is off.
+  bool enabled() const { return lru_.maxBytes() > 0; }
 
   struct Entry {
     std::vector<asmx::Instruction> insns;  ///< symbolized for the keyed table
@@ -77,30 +83,17 @@ class DecodeCache {
   void clear();
 
  private:
-  struct Rec {
-    uint64_t hash = 0;
-    uint64_t addr = 0;
-    uint64_t salt = 0;
-    std::vector<uint8_t> bytes;
-    std::shared_ptr<const Entry> entry;
-    size_t cost = 0;
-  };
-  using LruList = std::list<Rec>;
+  using Lru = ByteLru<std::shared_ptr<const Entry>>;
 
-  static uint64_t hashKey(uint64_t addr, uint64_t salt,
-                          std::span<const uint8_t> bytes);
-  static size_t entryCost(std::span<const uint8_t> bytes, const Entry& e);
-  LruList::iterator findRec(uint64_t addr, uint64_t salt,
-                            std::span<const uint8_t> bytes);
+  static std::string makeKey(uint64_t addr, uint64_t salt,
+                             std::span<const uint8_t> bytes);
+  static size_t entryCost(const std::string& key, const Entry& e);
 
   mutable std::mutex mu_;
-  size_t maxBytes_;
-  size_t bytes_ = 0;
+  Lru lru_;
   mutable uint64_t hits_ = 0;
   mutable uint64_t misses_ = 0;
   uint64_t evictions_ = 0;
-  LruList lru_;  // front = most recent
-  std::unordered_map<uint64_t, std::vector<LruList::iterator>> byHash_;
 };
 
 }  // namespace cati::loader

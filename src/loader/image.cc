@@ -5,7 +5,6 @@
 #include <map>
 #include <optional>
 #include <sstream>
-#include <stdexcept>
 #include <unordered_map>
 
 #include "asmx/encode.h"
@@ -231,17 +230,9 @@ std::optional<Image> readFile(const std::filesystem::path& p,
   return tryRead(is, diags);
 }
 
-namespace {
-
-/// Shared disassembly walk. `diags == nullptr` selects strict mode (throw
-/// on a bad boundary / undecodable bytes); otherwise errors are reported
-/// and recovered from. Boundaries decode in parallel into per-boundary
-/// slots and local DiagLists; the serial merge below walks boundaries in
-/// table order, so both the function list and the diagnostic order are
-/// exactly what the serial walk produced.
-std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
-                                            par::ThreadPool* pool,
-                                            DecodeCache* cache = nullptr) {
+std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags,
+                                        par::ThreadPool& pool,
+                                        DecodeCache& cache) {
   static obs::Histogram& disasmNs = obs::timer("loader.disassemble_ns");
   const obs::ScopedTimer timing(disasmNs);
   // Address -> symbol for call re-attachment and function naming.
@@ -254,10 +245,7 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
     bool cacheHit = false;
     std::shared_ptr<const DecodeCache::Entry> newEntry;  // miss: to insert
   };
-  // The cache stores recovering-mode decode output only; strict mode
-  // (diags == nullptr) has different failure semantics, so it bypasses the
-  // cache entirely.
-  DecodeCache* const useCache = diags != nullptr ? cache : nullptr;
+  const bool useCache = cache.enabled();
   // Symbol-table fingerprint: cached streams are symbolized, so the key
   // must distinguish e.g. the stripped and unstripped forms of one binary.
   uint64_t symSalt = 0;
@@ -269,18 +257,16 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
                           static_cast<uint32_t>(symSalt));
     }
   }
-  par::ThreadPool inlinePool(1);
-  par::ThreadPool& tp = pool ? *pool : inlinePool;
+  // Boundaries decode in parallel into per-boundary slots and local
+  // DiagLists; the serial merge below walks them in table order, so the
+  // function list and the diagnostic order do not depend on the job count.
   std::vector<BoundaryOut> parts = par::parallelMap<BoundaryOut>(
-      tp, img.boundaries.size(), 4, [&](size_t i) {
+      pool, img.boundaries.size(), 4, [&](size_t i) {
         const BoundaryEntry& b = img.boundaries[i];
         BoundaryOut part;
         if (b.start < img.baseAddr ||
             b.start > img.baseAddr + img.text.size() ||
             b.end > img.baseAddr + img.text.size() || b.end < b.start) {
-          if (diags == nullptr) {
-            throw std::runtime_error("disassemble: boundary outside .text");
-          }
           addDiag(&part.diags, Severity::Error, DiagStage::Loader, b.start,
                   "skipping function with boundary outside .text");
           return part;
@@ -298,7 +284,7 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
         const std::span<const uint8_t> body(
             img.text.data() + (b.start - img.baseAddr), b.end - b.start);
         std::shared_ptr<const DecodeCache::Entry> hit;
-        if (useCache) hit = useCache->find(b.start, symSalt, body);
+        if (useCache) hit = cache.find(b.start, symSalt, body);
         if (hit) {
           // Replay: the key covers the symbol table, so the cached stream
           // is already symbolized for it — copy insns/addrs/decode diags
@@ -309,10 +295,8 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
           fn.graph = hit->graph;
           part.diags = hit->decodeDiags;
         } else {
-          fn.insns = diags == nullptr
-                         ? asmx::decodeAll(body, b.start, &fn.insnAddrs)
-                         : asmx::decodeAllRecover(body, b.start, &part.diags,
-                                                  &fn.insnAddrs);
+          fn.insns = asmx::decodeAllRecover(body, b.start, &part.diags,
+                                            &fn.insnAddrs);
           // Symbolize call targets where the symbol table allows, *before*
           // lowering: the graph interns callee names for the dataflow layer.
           for (asmx::Instruction& ins : fn.insns) {
@@ -360,11 +344,11 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
           img.text.data() + (b.start - img.baseAddr), b.end - b.start);
       if (part.cacheHit) {
         ++cacheHits;
-        useCache->promote(b.start, symSalt, body);
-      } else if (part.newEntry) {
+        cache.promote(b.start, symSalt, body);
+      } else {
         ++cacheMisses;
         cacheEvictions +=
-            useCache->insert(b.start, symSalt, body, std::move(part.newEntry));
+            cache.insert(b.start, symSalt, body, std::move(part.newEntry));
       }
     }
     if (obs::enabled()) {
@@ -383,11 +367,8 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
         }
       }
     }
-    if (diags != nullptr) {
-      diags->insert(diags->end(),
-                    std::make_move_iterator(part.diags.begin()),
-                    std::make_move_iterator(part.diags.end()));
-    }
+    diags.insert(diags.end(), std::make_move_iterator(part.diags.begin()),
+                 std::make_move_iterator(part.diags.end()));
     if (part.fn) out.push_back(std::move(*part.fn));
   }
   if (obs::enabled()) {
@@ -402,27 +383,6 @@ std::vector<LoadedFunction> disassembleImpl(const Image& img, DiagList* diags,
     }
   }
   return out;
-}
-
-}  // namespace
-
-std::vector<LoadedFunction> disassemble(const Image& img) {
-  return disassembleImpl(img, nullptr, nullptr);
-}
-
-std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags) {
-  return disassembleImpl(img, &diags, nullptr);
-}
-
-std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags,
-                                        par::ThreadPool& pool) {
-  return disassembleImpl(img, &diags, &pool);
-}
-
-std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags,
-                                        par::ThreadPool& pool,
-                                        DecodeCache& cache) {
-  return disassembleImpl(img, &diags, &pool, &cache);
 }
 
 }  // namespace cati::loader

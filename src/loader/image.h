@@ -22,6 +22,7 @@
 
 #include "asmx/instruction.h"
 #include "common/diag.h"
+#include "common/parallel.h"
 #include "debuginfo/debuginfo.h"
 #include "ir/ir.h"
 #include "loader/cache.h"
@@ -104,29 +105,21 @@ struct LoadedFunction {
   std::shared_ptr<const ir::FunctionGraph> graph;
 };
 
-/// Disassembles .text using the boundary table, symbolizing what the
-/// symbol table still allows. Strict mode: throws std::runtime_error on a
-/// boundary outside .text or undecodable bytes.
-std::vector<LoadedFunction> disassemble(const Image& img);
-
-/// Recovering disassembly for untrusted images — never throws. Boundaries
-/// outside .text are skipped with an Error diagnostic; undecodable bytes
-/// inside a function are quarantined as `.byte` pseudo-instructions with a
-/// Warning diagnostic (see asmx::decodeAllRecover).
-std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags);
-
-/// Recovering disassembly with per-function fan-out over `pool`. Worker
-/// threads collect diagnostics into per-boundary local lists that are merged
-/// in boundary-table order, so the function list AND the diagnostic order
-/// are bit-identical to the serial overloads at any job count.
-std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags,
-                                        par::ThreadPool& pool);
-
-/// Recovering disassembly backed by a decode+lowering cache. Hits skip the
-/// decode, symbolization and IR construction entirely (entries hold the
-/// symbolized stream; the symbol-table fingerprint is part of the key);
-/// output — functions, graphs, diagnostics — is byte-identical to the
-/// uncached overloads at any job count and any cache state.
+/// Disassembles .text using the boundary table, symbolizing what the symbol
+/// table still allows. Recovering and total — the input is untrusted, so
+/// this never throws on bad bytes: boundaries outside .text are skipped
+/// with an Error diagnostic; undecodable bytes inside a function are
+/// quarantined as `.byte` pseudo-instructions with a Warning diagnostic
+/// (see asmx::decodeAllRecover).
+///
+/// Functions fan out over `pool`; worker threads collect diagnostics into
+/// per-boundary lists merged in boundary-table order, so the function list
+/// AND the diagnostic order are bit-identical at any job count. `cache`
+/// shares decode+lowering across calls: hits skip the decode, symbolization
+/// and IR construction (entries hold the symbolized stream; the symbol-table
+/// fingerprint is part of the key), and output is byte-identical at any
+/// cache state. A 0-byte cache is off: no lookups, no inserts, no
+/// loader.cache.* counters.
 std::vector<LoadedFunction> disassemble(const Image& img, DiagList& diags,
                                         par::ThreadPool& pool,
                                         DecodeCache& cache);

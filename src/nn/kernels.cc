@@ -20,52 +20,57 @@ static_assert(kQOutPad % 16 == 0);
 // "scalar" = no hand-written SIMD; the compiler may still vectorize these
 // loops, which is safe because the per-element operations are explicit.
 
-void convLaneScalar(const float* w, const float* bias, const float* x,
-                    float* y, int inC, int outC, int k, int len) {
+/// The scalar conv and dense kernels over `L` interleaved samples: L = kLane
+/// is the scalar lane variant, L = 1 one plain sample (conv1dSample and
+/// denseSample) — the same per-element ops either way.
+template <int L>
+void convScalar(const float* w, const float* bias, const float* x, float* y,
+                int inC, int outC, int k, int len) {
   const int pad = k / 2;
   for (int o = 0; o < outC; ++o) {
     const float* wRow = w + static_cast<size_t>(o) * inC * k;
-    float* yRow = y + static_cast<size_t>(o) * len * kLane;
+    float* yRow = y + static_cast<size_t>(o) * len * L;
     const float b = bias[o];
-    for (int i = 0; i < len * kLane; ++i) yRow[i] = b;
+    for (int i = 0; i < len * L; ++i) yRow[i] = b;
     for (int c = 0; c < inC; ++c) {
-      const float* xRow = x + static_cast<size_t>(c) * len * kLane;
+      const float* xRow = x + static_cast<size_t>(c) * len * L;
       const float* wk = wRow + static_cast<size_t>(c) * k;
       for (int kk = 0; kk < k; ++kk) {
         const float wv = wk[kk];
         const int shift = kk - pad;
         const int lo = shift < 0 ? -shift : 0;
         const int hi = shift > 0 ? len - shift : len;
-        float* yp = yRow + static_cast<size_t>(lo) * kLane;
-        const float* xp = xRow + static_cast<size_t>(lo + shift) * kLane;
-        const int cnt = (hi - lo) * kLane;
+        float* yp = yRow + static_cast<size_t>(lo) * L;
+        const float* xp = xRow + static_cast<size_t>(lo + shift) * L;
+        const int cnt = (hi - lo) * L;
         for (int i = 0; i < cnt; ++i) yp[i] = std::fmaf(wv, xp[i], yp[i]);
       }
     }
   }
 }
 
-void denseLaneScalar(const float* w, const float* bias, const float* x,
-                     float* y, int inF, int outF) {
+template <int L>
+void denseScalar(const float* w, const float* bias, const float* x, float* y,
+                 int inF, int outF) {
   const int head = inF - (inF % 4);
   for (int o = 0; o < outF; ++o) {
     const float* wRow = w + static_cast<size_t>(o) * inF;
-    float acc[kLane];
-    for (int l = 0; l < kLane; ++l) acc[l] = bias[o];
+    float acc[L];
+    for (int l = 0; l < L; ++l) acc[l] = bias[o];
     int i = 0;
     for (; i < head; ++i) {
       const float wv = wRow[i];
-      const float* xr = x + static_cast<size_t>(i) * kLane;
+      const float* xr = x + static_cast<size_t>(i) * L;
       // Two-rounded multiply-then-add (the TU is -ffp-contract=off).
-      for (int l = 0; l < kLane; ++l) acc[l] = acc[l] + wv * xr[l];
+      for (int l = 0; l < L; ++l) acc[l] = acc[l] + wv * xr[l];
     }
     for (; i < inF; ++i) {
       const float wv = wRow[i];
-      const float* xr = x + static_cast<size_t>(i) * kLane;
-      for (int l = 0; l < kLane; ++l) acc[l] = std::fmaf(wv, xr[l], acc[l]);
+      const float* xr = x + static_cast<size_t>(i) * L;
+      for (int l = 0; l < L; ++l) acc[l] = std::fmaf(wv, xr[l], acc[l]);
     }
-    float* yRow = y + static_cast<size_t>(o) * kLane;
-    for (int l = 0; l < kLane; ++l) yRow[l] = acc[l];
+    float* yRow = y + static_cast<size_t>(o) * L;
+    for (int l = 0; l < L; ++l) yRow[l] = acc[l];
   }
 }
 
@@ -265,9 +270,9 @@ __attribute__((target("avx2"))) void qgemvAvx2(const int8_t* w,
   }
 }
 
-// --- AVX-512 (F+BW+DQ+VL+VNNI) ----------------------------------------------
+// --- AVX-512 (F+BW+DQ+VL+VNNI, plus FMA for the 256-bit tails) -------------
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,fma"))) void
 convLaneAvx512(const float* w, const float* bias, const float* x, float* y,
                int inC, int outC, int k, int len) {
   const int pad = k / 2;
@@ -320,7 +325,7 @@ convLaneAvx512(const float* w, const float* bias, const float* x, float* y,
   }
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) float
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,fma"))) float
 absMaxAvx512(const float* x, int n) {
   const __m512 signMask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
   __m512 vm = _mm512_setzero_ps();
@@ -336,7 +341,7 @@ absMaxAvx512(const float* x, int n) {
   return m;
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl"))) void
+__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,fma"))) void
 quantizeAvx512(const float* x, int8_t* q, int n, float invScale) {
   const __m512 vs = _mm512_set1_ps(invScale);
   const __m512i vmin = _mm512_set1_epi32(-127);
@@ -351,7 +356,8 @@ quantizeAvx512(const float* x, int8_t* q, int n, float invScale) {
   for (; i < n; ++i) q[i] = quantizeOne(x[i], invScale);
 }
 
-__attribute__((target("avx512f,avx512bw,avx512dq,avx512vl,avx512vnni"))) void
+__attribute__((
+    target("avx512f,avx512bw,avx512dq,avx512vl,avx512vnni,fma"))) void
 qgemvAvx512(const int8_t* w, const int32_t* rowSum, const int8_t* x,
             int32_t* acc, int groups, int outPad) {
   // vpdpbusd wants unsigned × signed: bias the activations by +128
@@ -376,10 +382,20 @@ qgemvAvx512(const int8_t* w, const int32_t* rowSum, const int8_t* x,
 
 }  // namespace
 
+void conv1dSample(const float* w, const float* bias, const float* x, float* y,
+                  int inC, int outC, int k, int len) {
+  convScalar<1>(w, bias, x, y, inC, outC, k, len);
+}
+
+void denseSample(const float* w, const float* bias, const float* x, float* y,
+                 int inF, int outF) {
+  denseScalar<1>(w, bias, x, y, inF, outF);
+}
+
 const KernelSet& kernelsFor(cpu::Isa isa) {
   static const KernelSet sets[cpu::kNumIsas] = {
-      {cpu::Isa::kScalar, convLaneScalar, denseLaneScalar, absMaxScalar,
-       quantizeScalar, qgemvScalar},
+      {cpu::Isa::kScalar, convScalar<kLane>, denseScalar<kLane>,
+       absMaxScalar, quantizeScalar, qgemvScalar},
       {cpu::Isa::kAvx2, convLaneAvx2, denseLaneAvx2, absMaxAvx2, quantizeAvx2,
        qgemvAvx2},
       // Dense lane groups are 8 floats wide, so the AVX2 variant is already

@@ -23,7 +23,10 @@
 //
 // kernels.cc is compiled with -ffp-contract=off: fusion happens only where
 // an explicit fma/fmaf (or _mm*_fmadd) is written, never at the compiler's
-// whim, making the contract hold across build types and compilers.
+// whim, making the contract hold across build types and compilers. The
+// per-sample conv1dSample/denseSample (the sub-lane remainder of a batch)
+// live there too, under the same contract, so a sample computes the same
+// bits whether it lands in a full lane group or in the remainder.
 #pragma once
 
 #include <cstdint>
@@ -82,6 +85,14 @@ struct KernelSet {
   void (*qgemvI8)(const int8_t* w, const int32_t* rowSum, const int8_t* x,
                   int32_t* acc, int groups, int outPad);
 };
+
+/// One sample of conv1dLane's contract: `x` is [c][t], `y` is [o][t].
+void conv1dSample(const float* w, const float* bias, const float* x, float* y,
+                  int inC, int outC, int k, int len);
+
+/// One sample of denseLane's contract: `x` is [i], `y` is [o].
+void denseSample(const float* w, const float* bias, const float* x, float* y,
+                 int inF, int outF);
 
 /// The variant for a specific ISA. The caller must ensure
 /// cpu::supported(isa) — used by the differential tests to force a tier.

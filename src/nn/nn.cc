@@ -74,7 +74,6 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
   checkSize(x, static_cast<size_t>(n) * inC_ * len, "Conv1d::forward x");
   checkSize(y, static_cast<size_t>(n) * outC_ * len, "Conv1d::forward y");
   if (phase != Phase::kInfer) s.cache.assign(x.begin(), x.end());
-  const int pad = k_ / 2;
 
   // Per output element the accumulation order is fixed: bias, then taps in
   // ascending (c, kk) order, one multiply-add per tap. Both execution paths
@@ -84,8 +83,9 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
   // Full lanes of kLane samples run batch-transposed: the input is packed
   // [c][t][lane] so the innermost loop is a contiguous lane-wide axpy — one
   // vector FMA covers kLane samples at once. Packing is a pure permutation
-  // (no FP ops). The remainder (and any small batch) takes the historical
-  // per-sample pass structure.
+  // (no FP ops). The remainder (and any small batch) runs one sample at a
+  // time through kern::conv1dSample, whose fusion is pinned like the lane
+  // kernels' rather than left to this TU's codegen.
   int b0 = 0;
   if (n >= kBatchLane) {
     const size_t inPlane = static_cast<size_t>(inC_) * len;
@@ -110,25 +110,10 @@ void Conv1d::forward(std::span<const float> x, std::span<float> y, int n,
     }
   }
   for (int b = b0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * inC_ * len;
-    float* ys = y.data() + static_cast<size_t>(b) * outC_ * len;
-    for (int o = 0; o < outC_; ++o) {
-      const float* wRow = w_.value.data() + static_cast<size_t>(o) * inC_ * k_;
-      float* yRow = ys + static_cast<size_t>(o) * len;
-      const float bias = b_.value[static_cast<size_t>(o)];
-      for (int t = 0; t < len; ++t) yRow[t] = bias;
-      for (int c = 0; c < inC_; ++c) {
-        const float* xRow = xs + static_cast<size_t>(c) * len;
-        const float* wk = wRow + static_cast<size_t>(c) * k_;
-        for (int kk = 0; kk < k_; ++kk) {
-          const float wv = wk[kk];
-          const int shift = kk - pad;
-          const int lo = std::max(0, -shift);
-          const int hi = std::min(len, len - shift);
-          for (int t = lo; t < hi; ++t) yRow[t] += wv * xRow[t + shift];
-        }
-      }
-    }
+    kern::conv1dSample(w_.value.data(), b_.value.data(),
+                       x.data() + static_cast<size_t>(b) * inC_ * len,
+                       y.data() + static_cast<size_t>(b) * outC_ * len, inC_,
+                       outC_, k_, len);
   }
 }
 
@@ -362,7 +347,8 @@ void Linear::forward(std::span<const float> x, std::span<float> y, int n,
   // Full lanes run batch-transposed through the dispatched dense kernel,
   // which reproduces this scalar loop's per-sample accumulation exactly
   // (kernels.h: mul-then-add head, fused n%4 tail — the seed's in-order
-  // reduction codegen). The remainder keeps the historical scalar pass.
+  // reduction codegen). The remainder runs kern::denseSample, which pins
+  // that same contract per sample.
   int b0 = 0;
   if (n >= kBatchLane) {
     s.laneIn.resize(static_cast<size_t>(in_) * kBatchLane);
@@ -383,14 +369,9 @@ void Linear::forward(std::span<const float> x, std::span<float> y, int n,
     }
   }
   for (int b = b0; b < n; ++b) {
-    const float* xs = x.data() + static_cast<size_t>(b) * in_;
-    float* ys = y.data() + static_cast<size_t>(b) * out_;
-    for (int o = 0; o < out_; ++o) {
-      const float* wRow = w_.value.data() + static_cast<size_t>(o) * in_;
-      float acc = b_.value[static_cast<size_t>(o)];
-      for (int i = 0; i < in_; ++i) acc += wRow[i] * xs[i];
-      ys[o] = acc;
-    }
+    kern::denseSample(w_.value.data(), b_.value.data(),
+                      x.data() + static_cast<size_t>(b) * in_,
+                      y.data() + static_cast<size_t>(b) * out_, in_, out_);
   }
 }
 

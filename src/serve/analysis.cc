@@ -129,13 +129,14 @@ PreparedRequest::PreparedRequest(const Engine& engine, loader::Image img,
                                  par::ThreadPool* pool, float confMin,
                                  loader::DecodeCache* cache)
     : img_(std::move(img)), confMin_(confMin) {
-  // Recovering disassembly; an inline pool stands in when the caller has
-  // none (the output does not depend on the job count).
+  // An inline pool stands in when the caller has none, and a 0-byte (off)
+  // cache when it has no cache: the output depends on neither.
   std::optional<par::ThreadPool> inlinePool;
   if (pool == nullptr) pool = &inlinePool.emplace(1);
+  loader::DecodeCache noCache(0);
+  if (cache == nullptr) cache = &noCache;
   std::vector<loader::LoadedFunction> fns =
-      cache != nullptr ? loader::disassemble(img_, preDiags_, *pool, *cache)
-                       : loader::disassemble(img_, preDiags_, *pool);
+      loader::disassemble(img_, preDiags_, *pool, *cache);
 
   // Recover every function off its loader FunctionGraph (decode-cache hits
   // skip relowering), then run the binary-level interprocedural pass so

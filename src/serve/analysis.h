@@ -56,8 +56,8 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
 
 class PreparedRequest {
  public:
-  /// Phase 1 for every function of `img`: disassemble (recovering, via
-  /// `pool`, through `cache` when given), recover every function off its
+  /// Phase 1 for every function of `img`: disassemble (via `pool`, through
+  /// `cache` when given, else uncached), recover every function off its
   /// FunctionGraph, run the interprocedural call-fact pass over the whole
   /// binary, then Engine::prepareFunction per function. A function whose
   /// preparation throws degrades to a Warning diag (and the

@@ -64,97 +64,90 @@ DiskEntry readEntryFile(const std::filesystem::path& p) {
       });
 }
 
+/// Best-effort removal of an entry file; a no-op in memory mode.
+void removeFile(const std::filesystem::path& file) {
+  if (file.empty()) return;
+  std::error_code ec;
+  std::filesystem::remove(file, ec);
+}
+
+/// Drops an entry the LRU let go of: removes its file and counts it.
+void evict(const std::filesystem::path& file) {
+  static obs::Counter& evictions = obs::counter("serve.cache.evictions");
+  removeFile(file);
+  evictions.add();
+}
+
 }  // namespace
 
 ResultCache::ResultCache(size_t maxBytes, std::filesystem::path dir,
                          HashFn hash)
-    : maxBytes_(maxBytes), dir_(std::move(dir)), hash_(hash) {
+    : dir_(std::move(dir)), lru_(maxBytes, hash) {
   if (!dir_.empty()) recover();
-}
-
-uint32_t ResultCache::hashKey(const std::string& key) const {
-  if (hash_ != nullptr) return hash_(key);
-  return io::crc32(key.data(), key.size());
-}
-
-std::optional<ResultCache::Lru::iterator> ResultCache::find(
-    const std::string& key) {
-  const auto bucket = buckets_.find(hashKey(key));
-  if (bucket == buckets_.end()) return std::nullopt;
-  for (const Lru::iterator it : bucket->second) {
-    if (it->key == key) return it;  // full-key compare: collision guard
-  }
-  return std::nullopt;
 }
 
 std::optional<std::string> ResultCache::lookup(const std::string& key) {
   static obs::Counter& hits = obs::counter("serve.cache.hits");
   static obs::Counter& misses = obs::counter("serve.cache.misses");
   static obs::Counter& corrupt = obs::counter("serve.cache.corrupt");
-  const auto found = find(key);
-  if (!found) {
+  const Stored* found = lru_.find(key);
+  if (found == nullptr) {
     misses.add();
     return std::nullopt;
   }
-  const Lru::iterator it = *found;
+  // Bad bytes on disk (CorruptError) or an environment failure, real or
+  // injected (IoError): the entry is useless either way — drop it and
+  // recompute. Serving a corrupt reply is the one unacceptable outcome.
+  const auto drop = [&]() -> std::optional<std::string> {
+    removeFile(found->file);
+    lru_.erase(key);
+    corrupt.add();
+    misses.add();
+    return std::nullopt;
+  };
   std::string value;
   if (dir_.empty()) {
-    value = it->value;
+    value = found->value;
   } else {
     try {
-      DiskEntry e = readEntryFile(it->file);
+      DiskEntry e = readEntryFile(found->file);
       if (e.key != key) {
         throw CorruptError("cache entry: key mismatch in " +
-                           it->file.string());
+                           found->file.string());
       }
       value = std::move(e.value);
     } catch (const CorruptError&) {
-      // Bad bytes on disk: drop the entry and recompute. Serving a corrupt
-      // reply is the one unacceptable outcome.
-      erase(it, /*removeFile=*/true);
-      corrupt.add();
-      misses.add();
-      return std::nullopt;
+      return drop();
     } catch (const IoError&) {
-      // Environment failure (or an injected one): the entry is unreadable
-      // right now, so it is useless — drop it and recompute.
-      erase(it, /*removeFile=*/true);
-      corrupt.add();
-      misses.add();
-      return std::nullopt;
+      return drop();
     }
   }
   hits.add();
-  lru_.splice(lru_.begin(), lru_, it);  // refresh: move to MRU
+  lru_.touch(key);
   return value;
 }
 
 void ResultCache::insert(const std::string& key, const std::string& value) {
   static obs::Counter& inserts = obs::counter("serve.cache.inserts");
   static obs::Counter& oversize = obs::counter("serve.cache.oversize");
-  if (maxBytes_ == 0) return;
+  if (lru_.maxBytes() == 0) return;
   const size_t entryBytes = key.size() + value.size();
-  if (entryBytes > maxBytes_) {
+  if (entryBytes > lru_.maxBytes()) {
     // Would evict the whole cache and still not fit; not worth storing.
     oversize.add();
     return;
   }
-  if (const auto existing = find(key)) {
-    erase(*existing, /*removeFile=*/true);
-  }
+  if (const auto old = lru_.erase(key)) removeFile(old->file);
   if (fault::failPoint("serve.cache.write")) {
     throw IoError("serve.cache.write: injected short write");
   }
 
-  Entry e;
-  e.key = key;
-  e.bytes = entryBytes;
-  e.hash = hashKey(key);
+  Stored s;
   if (dir_.empty()) {
-    e.value = value;
+    s.value = value;
   } else {
-    e.file = dir_ / entryFileName(e.hash, seq_++);
-    fs::atomicWrite(e.file, [&](std::ostream& os) {
+    s.file = dir_ / entryFileName(io::crc32(key.data(), key.size()), seq_++);
+    fs::atomicWrite(s.file, [&](std::ostream& os) {
       io::writeChecksummed(os, kCresMagic, kCresVersion,
                            [&](std::ostream& body) {
                              io::Writer w(body);
@@ -163,34 +156,10 @@ void ResultCache::insert(const std::string& key, const std::string& value) {
                            });
     });
   }
-  lru_.push_front(std::move(e));
-  buckets_[lru_.front().hash].push_back(lru_.begin());
-  bytes_ += entryBytes;
+  // Fits by the oversize check above, so the insert is never refused.
+  const auto evicted = lru_.insert(key, std::move(s), entryBytes);
   inserts.add();
-  evictToFit();
-}
-
-void ResultCache::erase(Lru::iterator it, bool removeFile) {
-  auto bucket = buckets_.find(it->hash);
-  if (bucket != buckets_.end()) {
-    auto& vec = bucket->second;
-    vec.erase(std::remove(vec.begin(), vec.end(), it), vec.end());
-    if (vec.empty()) buckets_.erase(bucket);
-  }
-  bytes_ -= it->bytes;
-  if (removeFile && !it->file.empty()) {
-    std::error_code ec;
-    std::filesystem::remove(it->file, ec);  // best effort
-  }
-  lru_.erase(it);
-}
-
-void ResultCache::evictToFit() {
-  static obs::Counter& evictions = obs::counter("serve.cache.evictions");
-  while (bytes_ > maxBytes_ && !lru_.empty()) {
-    erase(std::prev(lru_.end()), /*removeFile=*/true);
-    evictions.add();
-  }
+  for (const Stored& e : *evicted) evict(e.file);
 }
 
 void ResultCache::recover() {
@@ -211,26 +180,28 @@ void ResultCache::recover() {
   std::sort(files.begin(), files.end());
   for (const auto& [seq, path] : files) {
     seq_ = std::max(seq_, seq + 1);
+    DiskEntry d;
     try {
-      DiskEntry d = readEntryFile(path);
-      Entry e;
-      e.key = std::move(d.key);
-      e.file = path;
-      e.bytes = e.key.size() + d.value.size();
-      e.hash = hashKey(e.key);
-      bytes_ += e.bytes;
-      lru_.push_front(std::move(e));
-      buckets_[lru_.front().hash].push_back(lru_.begin());
-      recovered.add();
+      d = readEntryFile(path);
     } catch (const std::exception&) {
       // Torn is impossible (atomicWrite), but deliberate corruption or a
       // foreign file is not — delete and move on.
-      std::error_code ec;
-      std::filesystem::remove(path, ec);
+      removeFile(path);
       corrupt.add();
+      continue;
     }
+    recovered.add();
+    // Two files for one key only when a replaced entry's removal failed:
+    // the later one wins and the stale file goes.
+    if (const auto old = lru_.erase(d.key)) removeFile(old->file);
+    const size_t bytes = d.key.size() + d.value.size();
+    const auto evicted = lru_.insert(std::move(d.key), Stored{{}, path}, bytes);
+    if (!evicted) {
+      evict(path);  // larger than the whole budget (it shrank since)
+      continue;
+    }
+    for (const Stored& e : *evicted) evict(e.file);
   }
-  evictToFit();
 }
 
 }  // namespace cati::serve

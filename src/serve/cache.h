@@ -3,9 +3,9 @@
 // Keyed by the raw analyze-request payload (options + image bytes), so two
 // requests hit the same entry exactly when the daemon would compute the same
 // reply; the value is the complete encoded reply frame, so a cache hit sends
-// byte-identical wire bytes to a miss. Keys are bucketed by CRC32 and
-// resolved by full-key compare inside the bucket — a hash collision can cost
-// a probe, never a wrong answer.
+// byte-identical wire bytes to a miss. Bucketing, full-key compare and
+// byte-budget LRU eviction are the shared ByteLru (common/lru.h); this class
+// keeps the disk mode, recovery and the serve.cache.* counters.
 //
 // Two modes:
 //   * memory (dir empty): entries live in RAM; bytes() counts key+value.
@@ -25,11 +25,10 @@
 
 #include <cstdint>
 #include <filesystem>
-#include <list>
 #include <optional>
 #include <string>
-#include <unordered_map>
-#include <vector>
+
+#include "common/lru.h"
 
 namespace cati::serve {
 
@@ -56,34 +55,20 @@ class ResultCache {
   void insert(const std::string& key, const std::string& value);
 
   size_t entries() const { return lru_.size(); }
-  size_t bytes() const { return bytes_; }
+  size_t bytes() const { return lru_.bytes(); }
   bool diskBacked() const { return !dir_.empty(); }
 
  private:
-  struct Entry {
-    std::string key;
+  struct Stored {
     std::string value;           // memory mode only
     std::filesystem::path file;  // disk mode only
-    size_t bytes = 0;
-    uint32_t hash = 0;
   };
-  using Lru = std::list<Entry>;  // front = most recently used
 
-  uint32_t hashKey(const std::string& key) const;
-  /// The bucket iterator for `key`, or nullopt. O(bucket size) full-key
-  /// compare — the collision guard.
-  std::optional<Lru::iterator> find(const std::string& key);
-  void erase(Lru::iterator it, bool removeFile);
-  void evictToFit();
   /// Re-indexes surviving *.cres entries after a restart (disk mode).
   void recover();
 
-  size_t maxBytes_;
   std::filesystem::path dir_;
-  HashFn hash_;
-  Lru lru_;
-  std::unordered_map<uint32_t, std::vector<Lru::iterator>> buckets_;
-  size_t bytes_ = 0;
+  ByteLru<Stored> lru_;
   uint64_t seq_ = 0;  // entry-file name uniquifier
 };
 

@@ -1,6 +1,7 @@
 #include "serve/server.h"
 
 #include <algorithm>
+#include <optional>
 #include <sstream>
 #include <utility>
 
@@ -15,10 +16,10 @@ Server::Server(Engine& engine, ServerConfig cfg)
       cfg_(std::move(cfg)),
       pool_(par::resolveJobs(cfg_.jobs)),
       listener_(sock::Listener::open(cfg_.listen)),
-      cache_(cfg_.cacheBytes, cfg_.cacheDir, cfg_.cacheHash) {
+      cache_(cfg_.cacheBytes, cfg_.cacheDir, cfg_.cacheHash),
+      decodeCache_(cfg_.decodeCacheBytes) {
   if (cfg_.maxGroup == 0) cfg_.maxGroup = 1;
   if (cfg_.maxOutbound == 0) cfg_.maxOutbound = 1;
-  if (cfg_.decodeCacheBytes > 0) decodeCache_.emplace(cfg_.decodeCacheBytes);
 }
 
 Server::~Server() { stop(); }
@@ -383,7 +384,7 @@ void Server::processGroup(std::vector<Job>& group) {
     }
     try {
       preps[i].emplace(engine_, std::move(*img), &pool_, req.confMin,
-                       decodeCache_ ? &*decodeCache_ : nullptr);
+                       &decodeCache_);
       sliceBegin[i] = allVucs.size();
       allVucs.insert(allVucs.end(), preps[i]->vucs().begin(),
                      preps[i]->vucs().end());

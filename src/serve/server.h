@@ -39,7 +39,6 @@
 #include <filesystem>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -168,8 +167,8 @@ class Server {
   sock::Listener listener_;
   ResultCache cache_;
   /// Owned by the server, threaded through every PreparedRequest of the
-  /// batch loop; nullopt when decodeCacheBytes == 0.
-  std::optional<loader::DecodeCache> decodeCache_;
+  /// batch loop; off (0 bytes) when decodeCacheBytes == 0.
+  loader::DecodeCache decodeCache_;
 
   std::thread acceptThread_;
   std::thread batchThread_;

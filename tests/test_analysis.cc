@@ -63,7 +63,7 @@ TEST_F(AnalyzeDeadline, ExpiryGivesCleanTimeoutReportAndClearsDeadline) {
   par::ThreadPool pool(1);
   Engine fresh = testsupport::cachedMicroEngine();
   const AnalyzeResult ref = analyzeImage(fresh, img, &pool, 1);
-  const size_t fns = loader::disassemble(img).size();
+  const size_t fns = img.boundaries.size();  // all well-formed
   ASSERT_GT(fns, 0U);
 
   Engine engine = testsupport::cachedMicroEngine();
@@ -124,7 +124,7 @@ TEST_F(AnalyzeDeadline, CatiInferTimeoutExitsZeroWithCleanReport) {
     std::ofstream os(image, std::ios::binary);
     loader::write(microImage(), os);
   }
-  const size_t fns = loader::disassemble(microImage()).size();
+  const size_t fns = microImage().boundaries.size();  // all well-formed
 
   // One worker, so the first sub-batch is the only deadline check: with
   // more, other workers may also find the 5 ms budget spent and count it.

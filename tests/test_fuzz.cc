@@ -19,6 +19,7 @@
 #include "cati/engine.h"
 #include "common/rng.h"
 #include "corpus/corpus.h"
+#include "loader/cache.h"
 #include "loader/image.h"
 #include "support/env.h"
 #include "synth/synth.h"
@@ -140,8 +141,11 @@ class FuzzTest : public ::testing::Test {
   static void analyzeImage(const loader::Image& img, uint64_t seed,
                            int maxAnalyzedFns) {
     DiagList diags;
+    par::ThreadPool pool(1);
+    loader::DecodeCache noCache(0);
     int analyzed = 0;
-    for (const loader::LoadedFunction& fn : loader::disassemble(img, diags)) {
+    for (const loader::LoadedFunction& fn :
+         loader::disassemble(img, diags, pool, noCache)) {
       if (analyzed++ >= maxAnalyzedFns) break;
       const auto vars = engine_->analyzeFunction(fn.insns);
       for (const AnalyzedVariable& av : vars) {
@@ -240,13 +244,19 @@ TEST_F(FuzzTest, RandomBytesNeverCrash) {
 }
 
 TEST_F(FuzzTest, ParallelRecoveringDisassembleMatchesSerial) {
-  // decodeAllRecover under jobs>1: the pooled overload must produce the
-  // exact function list AND diagnostic sequence of the serial walk, even on
-  // hostile images where some boundaries error and others quarantine bytes
-  // (the merge is keyed on boundary-table order, not completion order).
+  // Disassembly at jobs 4 through one decode cache shared by every
+  // iteration must produce the exact function list AND diagnostic sequence
+  // of an uncached serial walk, even on hostile images where some
+  // boundaries error and others quarantine bytes (the merge is keyed on
+  // boundary-table order, not completion order). Each image runs twice, so
+  // the warm pass replays cached entries — mutated and pristine functions
+  // alike — under the fuzzer.
   const int iters = scaledIters(300);
   Rng rng(0xF0220005);
-  par::ThreadPool pool(3);
+  par::ThreadPool pool1(1);
+  par::ThreadPool pool4(4);
+  loader::DecodeCache noCache(0);
+  loader::DecodeCache shared;
   for (int i = 0; i < iters; ++i) {
     loader::Image img = (*images_)[static_cast<size_t>(i) % images_->size()];
     // A light structural mutation mix: garbage .text block + one hostile
@@ -268,24 +278,30 @@ TEST_F(FuzzTest, ParallelRecoveringDisassembleMatchesSerial) {
     }
 
     DiagList serialDiags;
-    DiagList poolDiags;
-    const auto serial = loader::disassemble(img, serialDiags);
-    const auto pooled = loader::disassemble(img, poolDiags, pool);
-
-    ASSERT_EQ(serial.size(), pooled.size()) << "iteration " << i;
-    for (size_t f = 0; f < serial.size(); ++f) {
-      EXPECT_EQ(serial[f].name, pooled[f].name) << "iteration " << i;
-      EXPECT_EQ(serial[f].addr, pooled[f].addr) << "iteration " << i;
-      EXPECT_EQ(serial[f].insns.size(), pooled[f].insns.size())
-          << "iteration " << i;
-    }
-    ASSERT_EQ(serialDiags.size(), poolDiags.size()) << "iteration " << i;
-    for (size_t d = 0; d < serialDiags.size(); ++d) {
-      EXPECT_EQ(toString(serialDiags[d]), toString(poolDiags[d]))
-          << "iteration " << i << " diag " << d;
+    const auto serial = loader::disassemble(img, serialDiags, pool1, noCache);
+    for (const char* pass : {"cold", "warm"}) {
+      const std::string where =
+          "iteration " + std::to_string(i) + " (" + pass + ")";
+      DiagList poolDiags;
+      const auto pooled = loader::disassemble(img, poolDiags, pool4, shared);
+      ASSERT_EQ(serial.size(), pooled.size()) << where;
+      for (size_t f = 0; f < serial.size(); ++f) {
+        EXPECT_EQ(serial[f].name, pooled[f].name) << where;
+        EXPECT_EQ(serial[f].addr, pooled[f].addr) << where;
+        EXPECT_EQ(serial[f].insns, pooled[f].insns) << where;
+        EXPECT_EQ(serial[f].insnAddrs, pooled[f].insnAddrs) << where;
+      }
+      ASSERT_EQ(serialDiags.size(), poolDiags.size()) << where;
+      for (size_t d = 0; d < serialDiags.size(); ++d) {
+        EXPECT_EQ(toString(serialDiags[d]), toString(poolDiags[d]))
+            << where << " diag " << d;
+      }
     }
   }
+  // The shared cache really was exercised: the warm passes hit.
+  EXPECT_GT(shared.stats().hits, 0U);
 }
+
 
 TEST_F(FuzzTest, DecoderResyncIsTotalOnRandomCode) {
   // decodeAllRecover directly on random byte soup: must account for every

@@ -51,7 +51,10 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   std::printf("%s: %zu bytes of .text at %#llx%s\n\n", path, img->text.size(),
               static_cast<unsigned long long>(img->baseAddr),
               img->stripped() ? " (stripped)" : "");
-  for (const loader::LoadedFunction& fn : loader::disassemble(*img, diags)) {
+  par::ThreadPool pool(1);
+  loader::DecodeCache noCache(0);
+  for (const loader::LoadedFunction& fn :
+       loader::disassemble(*img, diags, pool, noCache)) {
     std::printf("%016llx <%s>:\n", static_cast<unsigned long long>(fn.addr),
                 fn.name.c_str());
     for (const asmx::Instruction& ins : fn.insns) {
