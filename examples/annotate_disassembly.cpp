@@ -11,6 +11,8 @@
 #include <map>
 
 #include "cati/engine.h"
+#include "loader/image.h"
+#include "serve/analysis.h"
 #include "synth/synth.h"
 
 namespace {
@@ -42,7 +44,17 @@ std::string fmtConf(float v) {
 
 void annotate(Engine& engine, std::span<const asmx::Instruction> insns,
               const char* title) {
-  const auto vars = engine.analyzeFunction(insns);
+  // Encode the listing as a one-function image and run the cati-infer
+  // pipeline over it; variable locations index into `insns`.
+  synth::Binary bin;
+  bin.funcs.emplace_back();
+  bin.funcs.back().name = "listing";
+  bin.funcs.back().insns.assign(insns.begin(), insns.end());
+  loader::Image img = loader::buildImage(bin);
+  loader::strip(img);
+  const auto vars =
+      serve::analyzeImage(engine, img, /*pool=*/nullptr, /*batch=*/0)
+          .functions[0];
 
   // instruction index -> annotation
   std::map<uint32_t, std::string> notes;

@@ -3,14 +3,17 @@
 //  1. generate a small synthetic training corpus (our stand-in for the
 //     paper's 2141 GCC-compiled packages — see DESIGN.md);
 //  2. extract labeled VUCs and train the engine (word2vec + 6 stage CNNs);
-//  3. take an unseen "stripped" binary, recover its variables with the
-//     data-flow pass, and infer a type for each;
+//  3. encode an unseen binary into an image, strip it, and run the
+//     cati-infer pipeline over it (disassembly, variable recovery, one
+//     batched prediction, voting);
 //  4. print the inferred types next to the ground truth.
 #include <cstdio>
 #include <span>
 
 #include "cati/engine.h"
 #include "corpus/corpus.h"
+#include "loader/image.h"
+#include "serve/analysis.h"
 #include "synth/synth.h"
 
 int main() {
@@ -41,10 +44,14 @@ int main() {
       synth::generateBinary(app, synth::Dialect::Gcc, /*optLevel=*/1,
                             /*seed=*/99);
   const synth::FunctionCode& fn = bin.funcs[0];
+  loader::Image img = loader::buildImage(bin);
+  loader::strip(img);
 
   std::printf("\nanalyzing stripped function '%s' (%zu instructions)\n",
               fn.name.c_str(), fn.insns.size());
-  const auto inferred = engine.analyzeFunction(fn.insns);
+  const auto inferred =
+      serve::analyzeImage(engine, img, /*pool=*/nullptr, /*batch=*/0)
+          .functions[0];
 
   // --- 4. compare with ground truth ---
   std::printf("\n%-12s %-24s %-24s %s\n", "location", "inferred",

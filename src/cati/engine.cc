@@ -47,6 +47,20 @@ std::array<obs::Histogram*, kNumStages> stageHistograms(const char* prefix,
   return a;
 }
 
+/// Follows the stage tree from Stage 1 to a leaf type, taking class
+/// classOf(stage) at each stage on the way (routeVuc, voteVariable).
+template <typename ClassOf>
+TypeLabel walkStageTree(ClassOf classOf) {
+  Stage s = Stage::S1;
+  for (;;) {
+    const int cls = classOf(s);
+    if (const auto leaf = leafOf(s, cls)) return *leaf;
+    const auto next = nextStage(s, cls);
+    if (!next) throw std::logic_error("broken stage tree");
+    s = *next;
+  }
+}
+
 }  // namespace
 
 Engine::Engine(EngineConfig cfg) : cfg_(cfg) {}
@@ -551,14 +565,8 @@ std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
 }
 
 TypeLabel Engine::routeVuc(const StageProbs& p) const {
-  Stage s = Stage::S1;
-  for (;;) {
-    const int cls = num::argmax(p.probs[static_cast<size_t>(s)]);
-    if (const auto leaf = leafOf(s, cls)) return *leaf;
-    const auto next = nextStage(s, cls);
-    if (!next) throw std::logic_error("routeVuc: broken stage tree");
-    s = *next;
-  }
+  return walkStageTree(
+      [&](Stage s) { return num::argmax(p.probs[static_cast<size_t>(s)]); });
 }
 
 VariableDecision Engine::voteVariable(
@@ -606,17 +614,9 @@ VariableDecision Engine::voteVariable(std::span<const StageProbs> vucProbs,
   }
   voteClipped.add(clipped);
   // Route the voted classes down the tree to the final type.
-  Stage s = Stage::S1;
-  for (;;) {
-    const int cls = d.stageClass[static_cast<size_t>(s)];
-    if (const auto leaf = leafOf(s, cls)) {
-      d.finalType = *leaf;
-      return d;
-    }
-    const auto next = nextStage(s, cls);
-    if (!next) throw std::logic_error("voteVariable: broken stage tree");
-    s = *next;
-  }
+  d.finalType = walkStageTree(
+      [&](Stage s) { return d.stageClass[static_cast<size_t>(s)]; });
+  return d;
 }
 
 double Engine::occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u) {
@@ -708,18 +708,6 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
   }
   varCount.add(out.size());
   return out;
-}
-
-std::vector<AnalyzedVariable> Engine::analyzeFunction(
-    std::span<const asmx::Instruction> insns, par::ThreadPool* pool,
-    int batch, DiagList* diags) {
-  static obs::Histogram& analyzeNs = obs::timer("engine.analyze_ns");
-  const obs::ScopedTimer timing(analyzeNs);
-  const FunctionWork work =
-      prepareFunction(insns, dataflow::recoverVariables(insns));
-  const std::vector<StageProbs> allProbs =
-      predictVucs(work.ds.vucs, pool, batch);
-  return finishFunction(work, allProbs, diags);
 }
 
 // --- training checkpoints (DESIGN.md §9) ------------------------------------

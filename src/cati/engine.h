@@ -188,15 +188,6 @@ class Engine {
       const FunctionWork& work, std::span<const StageProbs> probs,
       DiagList* diags = nullptr) const;
 
-  /// All three phases for one bare instruction list, recovering variables
-  /// with dataflow::recoverVariables and no interprocedural facts — for
-  /// callers without a loaded image (examples, tests, benches). Timed as
-  /// engine.analyze_ns. Only TimeoutError escapes, after the deadline.
-  std::vector<AnalyzedVariable> analyzeFunction(
-      std::span<const asmx::Instruction> insns,
-      par::ThreadPool* pool = nullptr, int batch = 0,
-      DiagList* diags = nullptr);
-
   // --- int8 quantization (DESIGN.md §11) ---
   /// Builds the int8 quantized twin of this trained fp32 engine: weights
   /// quantized symmetric per output channel, activations per sample at run

@@ -12,7 +12,7 @@ int resolveJobs(int requested) {
   if (const char* env = std::getenv("CATI_JOBS")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v <= 1024) {
+    if (end != env && *end == '\0' && v > 0 && v <= kMaxJobs) {
       return static_cast<int>(v);
     }
   }
@@ -25,7 +25,7 @@ int resolveBatch(int requested, int fallback) {
   if (const char* env = std::getenv("CATI_BATCH")) {
     char* end = nullptr;
     const long v = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0' && v > 0 && v <= 65536) {
+    if (end != env && *end == '\0' && v > 0 && v <= kMaxBatch) {
       return static_cast<int>(v);
     }
   }

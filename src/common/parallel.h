@@ -28,15 +28,21 @@
 
 namespace cati::par {
 
+/// Upper bounds on worker threads and on samples per forward pass, shared
+/// by the CATI_JOBS / CATI_BATCH environment variables and the tools'
+/// --jobs / --batch flags.
+inline constexpr int kMaxJobs = 1024;
+inline constexpr int kMaxBatch = 65536;
+
 /// Job-count resolution: an explicit request > 0 wins; otherwise the
-/// CATI_JOBS environment variable (when a positive integer); otherwise
-/// std::thread::hardware_concurrency() (>= 1).
+/// CATI_JOBS environment variable (when an integer in 1..kMaxJobs);
+/// otherwise std::thread::hardware_concurrency() (>= 1).
 int resolveJobs(int requested = 0);
 
 /// Batch-size resolution, mirroring resolveJobs: an explicit request > 0
-/// wins; otherwise the CATI_BATCH environment variable (when a positive
-/// integer <= 65536); otherwise `fallback`. Batch size never affects
-/// results — only how many samples share one forward pass (DESIGN.md §7).
+/// wins; otherwise the CATI_BATCH environment variable (when an integer in
+/// 1..kMaxBatch); otherwise `fallback`. Batch size never affects results —
+/// only how many samples share one forward pass (DESIGN.md §7).
 int resolveBatch(int requested, int fallback);
 
 /// A fixed-size pool of worker threads. Worker 0 is the calling thread;

@@ -198,6 +198,7 @@ AnalyzeResult PreparedRequest::finish(const Engine& engine,
     if (!vars.empty()) {
       appendFunctionReport(res.report, img_, pf.fn, vars, confMin_, stats);
     }
+    res.functions.push_back(std::move(vars));
     res.diags.insert(res.diags.end(), frag.begin(), frag.end());
   }
   appendSummary(res.report, stats);

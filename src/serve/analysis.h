@@ -41,6 +41,10 @@ struct AnalyzeOptions {
 struct AnalyzeResult {
   std::string report;  ///< exactly what cati-infer prints on stdout
   DiagList diags;      ///< disassembly + degradation diagnostics, tool order
+  /// Every function's typed variables, in function order and before the
+  /// confidence floor; a degraded function's entry is empty. Empty after
+  /// a timeout.
+  std::vector<std::vector<AnalyzedVariable>> functions;
 };
 
 /// The full offline analysis of one image: a PreparedRequest of one image,

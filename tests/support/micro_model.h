@@ -1,13 +1,13 @@
-// Shared micro-model fixture for test_parallel and test_golden: a tiny
-// corpus + engine configuration that trains in seconds yet exercises the
-// whole pipeline (synth -> corpus -> word2vec -> six CNN stages).
+// Shared micro-model fixture for the suites that need a trained engine: a
+// tiny corpus + engine configuration that trains in seconds yet exercises
+// the whole pipeline (synth -> corpus -> word2vec -> six CNN stages).
 //
-// The trained engine is cached on disk under ./cati_test_cache/ so the two
-// suites (which ctest may schedule concurrently) do not both pay for
-// training. Both register with RESOURCE_LOCK micro_model_cache in
-// tests/CMakeLists.txt, so cache reads and the atomic temp+rename write
-// never race. A corrupt or stale cache entry is never trusted: load errors
-// fall back to retraining.
+// cachedEngine() is the one disk cache of trained engines, under
+// ./cati_test_cache/ and keyed by name and rev, so the test processes
+// ctest starts (one per test) do not each pay for training. Every suite
+// that uses a key registers a RESOURCE_LOCK for it in tests/CMakeLists.txt,
+// so cache reads and the atomic temp+rename write never race. A corrupt or
+// stale cache entry is never trusted: a load error means retraining.
 #pragma once
 
 #include <exception>
@@ -24,8 +24,7 @@
 
 namespace cati::testsupport {
 
-/// Bump whenever generator output or training numerics change; old cache
-/// entries are keyed by rev and simply ignored afterwards.
+/// cachedEngine rev of the micro engine.
 inline constexpr int kMicroRev = 1;
 inline constexpr uint64_t kMicroSeed = 0xCA71;
 
@@ -70,15 +69,15 @@ inline std::string trainMicroEngineBytes(int jobs) {
   return serializeEngine(e);
 }
 
-inline std::filesystem::path microCachePath() {
+inline std::filesystem::path cachePath(const std::string& key, int rev) {
   return std::filesystem::path("cati_test_cache") /
-         ("micro_engine_r" + std::to_string(kMicroRev) + ".bin");
+         (key + "_r" + std::to_string(rev) + ".bin");
 }
 
 /// Atomic publish: a concurrent reader either sees the old file or the
 /// complete new one, never a half-written model.
-inline void writeMicroCache(const std::string& bytes) {
-  const std::filesystem::path p = microCachePath();
+inline void writeCache(const std::filesystem::path& p,
+                       const std::string& bytes) {
   std::filesystem::create_directories(p.parent_path());
   const std::filesystem::path tmp = p.string() + ".tmp";
   {
@@ -88,10 +87,14 @@ inline void writeMicroCache(const std::string& bytes) {
   std::filesystem::rename(tmp, p);
 }
 
-/// Loads the cached micro engine, retraining (and repopulating the cache)
-/// when it is missing or fails the model file's CRC.
-inline Engine cachedMicroEngine() {
-  const std::filesystem::path p = microCachePath();
+/// Loads the engine cached under (key, rev). When the entry is missing or
+/// fails to load (the model file's CRC), runs `train` — which returns the
+/// serialized model — publishes its bytes and loads them, so a cold and a
+/// warm run hand out the same engine. Bump `rev` whenever the training
+/// inputs or numerics change; old entries are then simply ignored.
+template <typename Train>
+Engine cachedEngine(const std::string& key, int rev, Train train) {
+  const std::filesystem::path p = cachePath(key, rev);
   if (std::filesystem::exists(p)) {
     try {
       return Engine::loadFile(p);
@@ -99,10 +102,17 @@ inline Engine cachedMicroEngine() {
       // Corrupt/stale cache entry: fall through and retrain.
     }
   }
-  const std::string bytes = trainMicroEngineBytes(par::resolveJobs());
-  writeMicroCache(bytes);
+  const std::string bytes = train();
+  writeCache(p, bytes);
   std::istringstream is(bytes);
   return Engine::load(is);
+}
+
+inline constexpr const char* kMicroKey = "micro_engine";
+
+inline Engine cachedMicroEngine() {
+  return cachedEngine(kMicroKey, kMicroRev,
+                      [] { return trainMicroEngineBytes(par::resolveJobs()); });
 }
 
 }  // namespace cati::testsupport

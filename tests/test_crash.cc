@@ -6,14 +6,15 @@
 //   * killed at every checkpoint boundary, `--resume` completes and the
 //     final model file is byte-identical to an uninterrupted run;
 //   * an injected I/O failure exits 3 and leaves no torn file behind;
-//   * the CLI hardening (duplicate/unknown flags -> exit 2 + usage) holds
-//     at the binary level.
+//   * the CLI hardening (duplicate/unknown/out-of-range flags and --help ->
+//     exit 2 + usage, no training) holds at the binary level.
 //
 // The cati-train path comes from CATI_TOOL_DIR (tests/CMakeLists.txt).
 #include <gtest/gtest.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -155,7 +156,32 @@ TEST_F(CrashSweepTest, CliHardeningAtTheBinaryLevel) {
   EXPECT_EQ(rc, kExitUsage);
   train("m.bin", " --resume", rc);  // --resume without --checkpoint
   EXPECT_EQ(rc, kExitUsage);
+  train("m.bin", " --jobs 0", rc);  // out of range 1..1024
+  EXPECT_EQ(rc, kExitUsage);
   EXPECT_FALSE(stdfs::exists(dir_ / "m.bin"));
+
+  // --help is an unknown flag, never a model path: exit 2 before any
+  // training, and no file named --help in the working directory.
+  FILE* p = ::popen(
+      ("cd " + dir_.string() + " && " + trainBin() + " --help 2>&1").c_str(),
+      "r");
+  ASSERT_NE(p, nullptr);
+  std::string out;
+  char buf[4096];
+  size_t n = 0;
+  while ((n = std::fread(buf, 1, sizeof(buf), p)) > 0) out.append(buf, n);
+  const int status = ::pclose(p);
+  ASSERT_TRUE(WIFEXITED(status));
+  EXPECT_EQ(WEXITSTATUS(status), kExitUsage);
+  EXPECT_NE(out.find("unknown argument: --help"), std::string::npos) << out;
+  EXPECT_EQ(out.find("generating corpus"), std::string::npos) << out;
+  EXPECT_FALSE(stdfs::exists(dir_ / "--help"));
+
+  // The model path may follow the flags.
+  EXPECT_EQ(runCmd(trainBin() + kTrainFlags + " " +
+                   (dir_ / "after.bin").string() + " >/dev/null 2>&1"),
+            0);
+  EXPECT_FALSE(slurp(dir_ / "after.bin").empty());
 }
 
 }  // namespace

@@ -13,6 +13,8 @@
 #include <numeric>
 #include <sstream>
 
+#include "loader/image.h"
+#include "serve/analysis.h"
 #include "synth/synth.h"
 
 namespace cati {
@@ -214,8 +216,10 @@ TEST_F(EngineTest, SaveLoadPreservesPredictions) {
 TEST_F(EngineTest, AnalyzeFunctionEndToEnd) {
   const synth::Binary bin = synth::generateBinary(
       synth::defaultProfile("e2e", 0x5, 3), synth::Dialect::Gcc, 1, 77);
-  for (const synth::FunctionCode& fn : bin.funcs) {
-    const auto vars = engine_->analyzeFunction(fn.insns);
+  const serve::AnalyzeResult res = serve::analyzeImage(
+      *engine_, loader::buildImage(bin), /*pool=*/nullptr, /*batch=*/0);
+  ASSERT_EQ(res.functions.size(), bin.funcs.size());
+  for (const std::vector<AnalyzedVariable>& vars : res.functions) {
     EXPECT_FALSE(vars.empty());
     for (const AnalyzedVariable& av : vars) {
       EXPECT_GT(av.numVucs, 0U);

@@ -21,6 +21,7 @@
 #include "corpus/corpus.h"
 #include "loader/cache.h"
 #include "loader/image.h"
+#include "serve/analysis.h"
 #include "support/env.h"
 #include "synth/synth.h"
 
@@ -127,7 +128,7 @@ class FuzzTest : public ::testing::Test {
   /// The contract under test: load, disassemble, recover and analyze must
   /// be total. Any exception escaping here fails the test with the seed.
   static void runPipeline(const std::string& bytes, uint64_t seed,
-                          int maxAnalyzedFns) {
+                          size_t maxAnalyzedFns) {
     DiagList diags;
     std::istringstream is(bytes);
     const auto img = loader::tryRead(is, diags);
@@ -138,16 +139,20 @@ class FuzzTest : public ::testing::Test {
     analyzeImage(*img, seed, maxAnalyzedFns);
   }
 
-  static void analyzeImage(const loader::Image& img, uint64_t seed,
-                           int maxAnalyzedFns) {
+  /// Disassembles every function, then runs the cati-infer pipeline
+  /// (serve::analyzeImage) over the first `maxAnalyzedFns` boundaries.
+  static void analyzeImage(loader::Image img, uint64_t seed,
+                           size_t maxAnalyzedFns) {
     DiagList diags;
     par::ThreadPool pool(1);
     loader::DecodeCache noCache(0);
-    int analyzed = 0;
-    for (const loader::LoadedFunction& fn :
-         loader::disassemble(img, diags, pool, noCache)) {
-      if (analyzed++ >= maxAnalyzedFns) break;
-      const auto vars = engine_->analyzeFunction(fn.insns);
+    loader::disassemble(img, diags, pool, noCache);
+    if (img.boundaries.size() > maxAnalyzedFns) {
+      img.boundaries.resize(maxAnalyzedFns);
+    }
+    const serve::AnalyzeResult res =
+        serve::analyzeImage(*engine_, img, &pool, /*batch=*/0);
+    for (const std::vector<AnalyzedVariable>& vars : res.functions) {
       for (const AnalyzedVariable& av : vars) {
         EXPECT_GE(av.confidence, 0.0F) << "seed " << seed;
       }

@@ -10,26 +10,36 @@
 #include "baseline/baseline.h"
 #include "cati/engine.h"
 #include "corpus/corpus.h"
+#include "dataflow/interproc.h"
 #include "dataflow/recovery.h"
+#include "loader/image.h"
+#include "serve/analysis.h"
+#include "support/micro_model.h"
 #include "synth/synth.h"
 
 namespace cati {
 namespace {
 
-// One shared small training run for the whole file (seconds, not minutes).
+// One shared small training run for the whole file. ctest runs every test
+// in its own process, so the trained engine lives in the test disk cache
+// (support/micro_model.h, RESOURCE_LOCK pipeline_engine_cache): the first
+// process trains, the others load it.
 class Pipeline : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
     const auto bins = synth::generateCorpus(10, 16, synth::Dialect::Gcc, 101);
     train_ = new corpus::Dataset(corpus::extractAll(bins));
-    EngineConfig cfg;
-    cfg.epochs = 5;
-    cfg.maxTrainPerStage = 10000;
-    cfg.fcHidden = 96;
-    cfg.conv1 = 24;
-    cfg.conv2 = 32;
-    engine_ = new Engine(cfg);
-    engine_->train(*train_);
+    engine_ = new Engine(testsupport::cachedEngine("pipeline_engine", 1, [] {
+      EngineConfig cfg;
+      cfg.epochs = 5;
+      cfg.maxTrainPerStage = 10000;
+      cfg.fcHidden = 96;
+      cfg.conv1 = 24;
+      cfg.conv2 = 32;
+      Engine e(cfg);
+      e.train(*train_);
+      return testsupport::serializeEngine(e);
+    }));
 
     const synth::Binary bin = synth::generateBinary(
         synth::defaultProfile("it", 0x7777, 24), synth::Dialect::Gcc, 2, 909);
@@ -146,12 +156,30 @@ TEST_F(Pipeline, CrossCompilerTransferDegradesGracefully) {
 }
 
 TEST_F(Pipeline, EndToEndMatchesManualPipeline) {
-  // analyzeFunction must agree with manually running recovery + extraction
-  // + predict + vote.
-  const synth::FunctionCode& fn = testBin_->funcs[0];
-  const auto analyzed = engine_->analyzeFunction(fn.insns);
+  // serve::analyzeImage (the cati-infer pipeline) must agree with manually
+  // running disassembly + recovery + interprocedural facts + extraction +
+  // predict + vote.
+  const loader::Image img = loader::buildImage(*testBin_);
+  const serve::AnalyzeResult res =
+      serve::analyzeImage(*engine_, img, /*pool=*/nullptr, /*batch=*/0);
 
-  const dataflow::RecoveryResult rec = dataflow::recoverVariables(fn.insns);
+  DiagList diags;
+  par::ThreadPool pool(1);
+  loader::DecodeCache noCache(0);
+  const std::vector<loader::LoadedFunction> fns =
+      loader::disassemble(img, diags, pool, noCache);
+  std::vector<dataflow::RecoveryResult> recs(fns.size());
+  std::vector<dataflow::FunctionView> views(fns.size());
+  for (size_t i = 0; i < fns.size(); ++i) {
+    recs[i] = dataflow::recoverVariables(*fns[i].graph);
+    views[i] = {fns[i].name,      fns[i].addr,        fns[i].insns,
+                fns[i].insnAddrs, fns[i].graph.get(), &recs[i]};
+  }
+  dataflow::propagateCallFacts(views);
+  ASSERT_EQ(res.functions.size(), fns.size());
+
+  const std::vector<AnalyzedVariable>& analyzed = res.functions[0];
+  const dataflow::RecoveryResult& rec = recs[0];
   ASSERT_EQ(analyzed.size(),
             std::count_if(rec.vars.begin(), rec.vars.end(),
                           [](const auto& rv) {
@@ -163,6 +191,17 @@ TEST_F(Pipeline, EndToEndMatchesManualPipeline) {
         rec.vars.begin(), rec.vars.end(),
         [&](const auto& rv) { return rv.offset == av.location.offset; });
     EXPECT_TRUE(found);
+  }
+
+  const Engine::FunctionWork work = engine_->prepareFunction(fns[0].insns, rec);
+  const std::vector<AnalyzedVariable> manual =
+      engine_->finishFunction(work, engine_->predictVucs(work.ds.vucs));
+  ASSERT_EQ(manual.size(), analyzed.size());
+  for (size_t v = 0; v < manual.size(); ++v) {
+    EXPECT_EQ(manual[v].location.offset, analyzed[v].location.offset);
+    EXPECT_EQ(manual[v].type, analyzed[v].type);
+    EXPECT_EQ(manual[v].confidence, analyzed[v].confidence);
+    EXPECT_EQ(manual[v].numVucs, analyzed[v].numVucs);
   }
 }
 

@@ -42,6 +42,11 @@ TEST(ResolveJobs, EnvFallbackAndValidation) {
   EXPECT_GE(par::resolveJobs(), 1);  // invalid env ignored, hw fallback
   ::setenv("CATI_JOBS", "-4", 1);
   EXPECT_GE(par::resolveJobs(), 1);
+  // The env bound is the --jobs flag's bound (resolution only: no pool).
+  ::setenv("CATI_JOBS", std::to_string(par::kMaxJobs).c_str(), 1);
+  EXPECT_EQ(par::resolveJobs(), par::kMaxJobs);
+  ::setenv("CATI_JOBS", std::to_string(par::kMaxJobs + 1).c_str(), 1);
+  EXPECT_LE(par::resolveJobs(), par::kMaxJobs);
   ::unsetenv("CATI_JOBS");
   EXPECT_GE(par::resolveJobs(), 1);
 }
@@ -151,9 +156,36 @@ TEST(ResolveBatch, ExplicitEnvAndFallback) {
   EXPECT_EQ(par::resolveBatch(0, 32), 32);  // invalid env ignored
   ::setenv("CATI_BATCH", "-2", 1);
   EXPECT_EQ(par::resolveBatch(0, 32), 32);
+  ::setenv("CATI_BATCH", std::to_string(par::kMaxBatch).c_str(), 1);
+  EXPECT_EQ(par::resolveBatch(0, 32), par::kMaxBatch);
+  ::setenv("CATI_BATCH", std::to_string(par::kMaxBatch + 1).c_str(), 1);
+  EXPECT_EQ(par::resolveBatch(0, 32), 32);
   ::unsetenv("CATI_BATCH");
   EXPECT_EQ(par::resolveBatch(0, 32), 32);
   EXPECT_EQ(par::resolveBatch(0, 0), 1);  // floor at one sample
+}
+
+TEST(TestCache, CorruptEntryMeansRetraining) {
+  // testsupport::cachedEngine never trusts a damaged entry: a load error
+  // runs `train`, republishes, and the next call is a cache hit.
+  const std::string good =
+      testsupport::serializeEngine(testsupport::cachedMicroEngine());
+  const auto path = testsupport::cachePath("corrupt_probe", 1);
+  testsupport::writeCache(path, good.substr(0, good.size() / 2));
+  int trained = 0;
+  const auto train = [&] {
+    ++trained;
+    return good;
+  };
+  EXPECT_EQ(testsupport::serializeEngine(
+                testsupport::cachedEngine("corrupt_probe", 1, train)),
+            good);
+  EXPECT_EQ(trained, 1);
+  EXPECT_EQ(testsupport::serializeEngine(
+                testsupport::cachedEngine("corrupt_probe", 1, train)),
+            good);
+  EXPECT_EQ(trained, 1);
+  std::filesystem::remove(path);
 }
 
 TEST(SplitSeed, PureAndStreamDistinct) {
@@ -210,7 +242,10 @@ TEST(JobsInvariance, ModelPredictionAndVoteBytesIdenticalAcrossJobs) {
   const auto [ref, metricsSerial] = trainWithMetrics(1);
   ASSERT_FALSE(ref.empty());
   EXPECT_FALSE(metricsSerial.counters.empty());
-  testsupport::writeMicroCache(ref);  // shared with test_golden
+  // Shared with test_golden.
+  testsupport::writeCache(
+      testsupport::cachePath(testsupport::kMicroKey, testsupport::kMicroRev),
+      ref);
 
   for (const int jobs : {2, 7}) {
     const auto [got, metrics] = trainWithMetrics(jobs);

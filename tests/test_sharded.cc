@@ -544,6 +544,15 @@ TEST_F(ShardedToolTest, ToolUsageErrorsExitTwo) {
   EXPECT_EQ(runCmd(toolPath("cati-synth") + " " + (dir_ / "o.img").string() +
                    " --shard-vucs 100 >/dev/null 2>&1"),
             2);
+  // cati-synth: a malformed seed or an unknown dialect is refused (it used
+  // to run silently as seed 0 / gcc), and no image is written.
+  for (const char* bad : {" --seed abc", " --dialect foo"}) {
+    EXPECT_EQ(runCmd(toolPath("cati-synth") + " " +
+                     (dir_ / "o.img").string() + bad + " >/dev/null 2>&1"),
+              2)
+        << bad;
+  }
+  EXPECT_FALSE(stdfs::exists(dir_ / "o.img"));
 }
 
 }  // namespace

@@ -16,11 +16,7 @@
 // The analysis runs through serve::analyzeImage, which is the cati-serve
 // pipeline (serve::PreparedRequest) on a group of one image — the serving
 // equivalence guarantee (DESIGN.md §10) holds by construction.
-//
-// Usage: cati-infer MODEL.bin IMAGE.img [--confidence-min X] [--jobs N]
-//                   [--timeout-ms T]
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 
 #include "cati/engine.h"
@@ -31,68 +27,25 @@
 
 namespace {
 
-constexpr const char* kUsagePrefix =
-    "usage: cati-infer MODEL.bin IMAGE.img [--confidence-min X] [--jobs N] "
-    "[--timeout-ms T] [--quant] [--mmap]";
-
-std::string usageLine() {
-  return std::string(kUsagePrefix) + cati::cli::kCommonUsage + "\n";
-}
-
-int run(int argc, char** argv, const cati::cli::Common& common) {
-  using namespace cati;
-  if (argc < 3) {
-    std::fputs(usageLine().c_str(), stderr);
-    return 2;
-  }
-  serve::AnalyzeOptions opts;
+struct Options {
+  std::string model;
+  std::string image;
+  cati::serve::AnalyzeOptions analyze;
   int jobs = 0;  // 0: CATI_JOBS env or hardware concurrency
   bool quant = false;
   bool useMmap = false;
-  cli::SeenFlags seen;
-  for (int i = 3; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) throw cli::UsageError(arg + ": missing value");
-      return argv[++i];
-    };
-    if (arg == "--confidence-min") {
-      seen.note(arg);
-      const char* v = next();
-      char* end = nullptr;
-      opts.confMin = std::strtof(v, &end);
-      if (end == v || *end != '\0') {
-        throw cli::UsageError("--confidence-min: not a number: " +
-                              std::string(v));
-      }
-    } else if (arg == "--jobs") {
-      seen.note(arg);
-      jobs = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--timeout-ms") {
-      seen.note(arg);
-      opts.timeoutMs = cli::parseInt(arg, next());
-      if (opts.timeoutMs <= 0) {
-        throw cli::UsageError("--timeout-ms: must be positive");
-      }
-    } else if (arg == "--quant") {
-      seen.note(arg);
-      quant = true;
-    } else if (arg == "--mmap") {
-      seen.note(arg);
-      useMmap = true;
-    } else {
-      cli::unknownArg(arg);
-    }
-  }
+};
 
+int run(const Options& o, const cati::cli::Common& common) {
+  using namespace cati;
   // --mmap: zero-copy model load (quantized containers keep their weights
   // in the mapping). --quant: run int8 inference — a quantized model file
   // is used as-is, an fp32 one is quantized in-process after loading.
   Engine engine = Engine::loadFile(
-      argv[1], useMmap ? Engine::LoadMode::kMap : Engine::LoadMode::kStream);
-  if (quant && !engine.quantized()) engine = engine.quantize();
+      o.model, o.useMmap ? Engine::LoadMode::kMap : Engine::LoadMode::kStream);
+  if (o.quant && !engine.quantized()) engine = engine.quantize();
   DiagList diags;
-  const auto img = loader::readFile(argv[2], diags);
+  const auto img = loader::readFile(o.image, diags);
   if (!img) {
     cli::printDiags(diags, common);
     return 1;
@@ -100,9 +53,9 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
 
   // common.batch (or CATI_BATCH) sets the inference batch; results are
   // identical at any batch size, only throughput changes.
-  par::ThreadPool pool(par::resolveJobs(jobs));
+  par::ThreadPool pool(par::resolveJobs(o.jobs));
   const serve::AnalyzeResult result =
-      serve::analyzeImage(engine, *img, &pool, common.batch, opts);
+      serve::analyzeImage(engine, *img, &pool, common.batch, o.analyze);
   std::fputs(result.report.c_str(), stdout);
   diags.insert(diags.end(), result.diags.begin(), result.diags.end());
   cli::printDiags(diags, common);
@@ -112,6 +65,17 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cati::cli::toolMain("cati-infer", argc, argv, run,
-                             usageLine().c_str());
+  using namespace cati;
+  Options o;
+  cli::Table table(
+      "cati-infer",
+      {cli::positional("MODEL.bin", &o.model),
+       cli::positional("IMAGE.img", &o.image),
+       cli::real("--confidence-min", "X", &o.analyze.confMin),
+       cli::integer("--jobs", "N", &o.jobs, 1, par::kMaxJobs),
+       cli::integer("--timeout-ms", "T", &o.analyze.timeoutMs, 1),
+       cli::flag("--quant", &o.quant),
+       cli::flag("--mmap", &o.useMmap)});
+  return cli::toolMain(table, argc, argv,
+                       [&] { return run(o, table.common()); });
 }

@@ -10,14 +10,9 @@
 //
 // SIGINT/SIGTERM (or --max-requests N) trigger a graceful drain: queued
 // requests are answered, in-flight replies flushed, then the daemon exits 0.
-//
-// Usage: cati-serve MODEL.bin --listen ADDR [--jobs N] [--max-queue N]
-//                   [--max-group N] [--cache-bytes SIZE] [--cache-dir DIR]
-//                   [--decode-cache SIZE] [--max-requests N]
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <stdexcept>
 #include <string>
 
 #include "cati/engine.h"
@@ -27,86 +22,19 @@
 
 namespace {
 
-constexpr const char* kUsagePrefix =
-    "usage: cati-serve MODEL.bin --listen ADDR [--jobs N] [--max-queue N] "
-    "[--max-group N] [--cache-bytes SIZE] [--cache-dir DIR] "
-    "[--decode-cache SIZE] [--max-requests N] [--quant] [--mmap]";
-
-std::string usageLine() {
-  return std::string(kUsagePrefix) + cati::cli::kCommonUsage +
-         "\n  ADDR is unix:PATH or tcp:[HOST:]PORT (tcp:0 picks an ephemeral "
-         "port);\n  SIZE takes an optional K/M/G suffix\n";
-}
-
 volatile std::sig_atomic_t gSignal = 0;
 void onSignal(int) { gSignal = 1; }
 
-int run(int argc, char** argv, const cati::cli::Common& common) {
-  using namespace cati;
-  if (argc < 2) {
-    std::fputs(usageLine().c_str(), stderr);
-    return 2;
-  }
-  serve::ServerConfig cfg;
-  cfg.batch = common.batch;
-  bool haveListen = false;
+struct Options {
+  std::string model;
+  cati::serve::ServerConfig cfg;
   bool quant = false;
   bool useMmap = false;
-  cli::SeenFlags seen;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) throw cli::UsageError(arg + ": missing value");
-      return argv[++i];
-    };
-    if (arg == "--listen") {
-      seen.note(arg);
-      try {
-        cfg.listen = sock::Address::parse(next());
-      } catch (const std::invalid_argument& e) {
-        throw cli::UsageError(std::string("--listen: ") + e.what());
-      }
-      haveListen = true;
-    } else if (arg == "--jobs") {
-      seen.note(arg);
-      cfg.jobs = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--max-queue") {
-      seen.note(arg);
-      const long v = cli::parseInt(arg, next());
-      if (v <= 0) throw cli::UsageError("--max-queue: must be positive");
-      cfg.maxQueue = static_cast<size_t>(v);
-    } else if (arg == "--max-group") {
-      seen.note(arg);
-      const long v = cli::parseInt(arg, next());
-      if (v <= 0) throw cli::UsageError("--max-group: must be positive");
-      cfg.maxGroup = static_cast<size_t>(v);
-    } else if (arg == "--cache-bytes") {
-      seen.note(arg);
-      cfg.cacheBytes = static_cast<size_t>(cli::parseSize(arg, next()));
-    } else if (arg == "--cache-dir") {
-      seen.note(arg);
-      cfg.cacheDir = next();
-    } else if (arg == "--decode-cache") {
-      // Decode+lowering cache budget (0 disables); repeat binaries across
-      // requests skip decode and IR construction.
-      seen.note(arg);
-      cfg.decodeCacheBytes = static_cast<size_t>(cli::parseSize(arg, next()));
-    } else if (arg == "--max-requests") {
-      seen.note(arg);
-      const long v = cli::parseInt(arg, next());
-      if (v <= 0) throw cli::UsageError("--max-requests: must be positive");
-      cfg.maxRequests = v;
-    } else if (arg == "--quant") {
-      seen.note(arg);
-      quant = true;
-    } else if (arg == "--mmap") {
-      seen.note(arg);
-      useMmap = true;
-    } else {
-      cli::unknownArg(arg);
-    }
-  }
-  if (!haveListen) throw cli::UsageError("--listen is required");
+};
+
+int run(Options& o, const cati::cli::Common& common) {
+  using namespace cati;
+  o.cfg.batch = common.batch;
 
   // The daemon always keeps metrics on: the /metrics endpoint is part of
   // the protocol, not an opt-in debugging aid.
@@ -115,9 +43,9 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
   // --mmap makes cold start O(pages touched) for quantized containers: the
   // daemon starts answering before the whole model has been paged in.
   Engine engine = Engine::loadFile(
-      argv[1], useMmap ? Engine::LoadMode::kMap : Engine::LoadMode::kStream);
-  if (quant && !engine.quantized()) engine = engine.quantize();
-  serve::Server server(engine, cfg);
+      o.model, o.useMmap ? Engine::LoadMode::kMap : Engine::LoadMode::kStream);
+  if (o.quant && !engine.quantized()) engine = engine.quantize();
+  serve::Server server(engine, o.cfg);
   std::signal(SIGINT, onSignal);
   std::signal(SIGTERM, onSignal);
   server.start();
@@ -137,6 +65,30 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cati::cli::toolMain("cati-serve", argc, argv, run,
-                             usageLine().c_str());
+  using namespace cati;
+  using cati::cli::integer;
+  Options o;
+  serve::ServerConfig& cfg = o.cfg;
+  cli::Table table(
+      "cati-serve",
+      {cli::positional("MODEL.bin", &o.model),
+       cli::required({"--listen", "ADDR", cli::Opt::Kind::kValue,
+                      [&cfg](const std::string& v) {
+                        cfg.listen = sock::Address::parse(v);
+                      }}),
+       integer("--jobs", "N", &cfg.jobs, 1, par::kMaxJobs),
+       integer("--max-queue", "N", &cfg.maxQueue, 1),
+       integer("--max-group", "N", &cfg.maxGroup, 1),
+       cli::size("--cache-bytes", "SIZE", &cfg.cacheBytes),
+       cli::text("--cache-dir", "DIR", &cfg.cacheDir),
+       // Decode+lowering cache budget (0 disables); repeat binaries across
+       // requests skip decode and IR construction.
+       cli::size("--decode-cache", "SIZE", &cfg.decodeCacheBytes),
+       integer("--max-requests", "N", &cfg.maxRequests, 1),
+       cli::flag("--quant", &o.quant),
+       cli::flag("--mmap", &o.useMmap)},
+      "  ADDR is unix:PATH or tcp:[HOST:]PORT (tcp:0 picks an ephemeral "
+      "port);\n  SIZE takes an optional K/M/G suffix\n");
+  return cli::toolMain(table, argc, argv,
+                       [&] { return run(o, table.common()); });
 }

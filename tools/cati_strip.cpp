@@ -4,59 +4,34 @@
 // The output is written atomically (DESIGN.md §9), which matters most for
 // the in-place default: a crash mid-write leaves the original image intact.
 #include <cstdio>
-#include <exception>
-#include <iostream>
 #include <string>
 
 #include "cli.h"
 #include "common/fs.h"
 #include "loader/image.h"
 
-namespace {
-
-std::string usageLine() {
-  return std::string("usage: cati-strip IN.img [OUT.img]") +
-         cati::cli::kCommonUsage + "\n";
-}
-
-int run(int argc, char** argv, const cati::cli::Common& common) {
-  using namespace cati;
-  if (argc < 2) {
-    std::fputs(usageLine().c_str(), stderr);
-    return 2;
-  }
-  const char* in = nullptr;
-  const char* out = nullptr;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    if (arg.starts_with("--")) cli::unknownArg(arg);
-    if (in == nullptr) {
-      in = argv[i];
-    } else if (out == nullptr) {
-      out = argv[i];
-    } else {
-      throw cli::UsageError("unexpected extra argument: " + arg);
-    }
-  }
-  if (out == nullptr) out = in;
-  DiagList diags;
-  auto img = loader::readFile(in, diags);
-  if (!img) {
-    cli::printDiags(diags, common);
-    return 1;
-  }
-  const size_t before = img->symbols.size();
-  loader::strip(*img);
-  fs::atomicWrite(out, [&img](std::ostream& os) { loader::write(*img, os); });
-  std::printf("%s: removed %zu symbols and debug info -> %s\n", in, before,
-              out);
-  cli::printDiags(diags, common);
-  return 0;
-}
-
-}  // namespace
-
 int main(int argc, char** argv) {
-  return cati::cli::toolMain("cati-strip", argc, argv, run,
-                             usageLine().c_str());
+  using namespace cati;
+  std::string in;
+  std::string out;  // empty: strip in place
+  cli::Table table("cati-strip",
+                   {cli::positional("IN.img", &in),
+                    cli::positional("OUT.img", &out, /*required=*/false)});
+  return cli::toolMain(table, argc, argv, [&] {
+    if (out.empty()) out = in;
+    DiagList diags;
+    auto img = loader::readFile(in, diags);
+    if (!img) {
+      cli::printDiags(diags, table.common());
+      return 1;
+    }
+    const size_t before = img->symbols.size();
+    loader::strip(*img);
+    fs::atomicWrite(out,
+                    [&img](std::ostream& os) { loader::write(*img, os); });
+    std::printf("%s: removed %zu symbols and debug info -> %s\n", in.c_str(),
+                before, out.c_str());
+    cli::printDiags(diags, table.common());
+    return 0;
+  });
 }

@@ -10,16 +10,7 @@
 // a killed run leaves only complete shards (and no manifest); rerunning
 // rebuilds the corpus from scratch. --progress reports binaries/shards/VUCs
 // on stderr at every shard boundary.
-//
-// Usage: cati-synth OUT.img [--name N] [--funcs K] [--dialect gcc|clang]
-//                   [--opt 0..3] [--seed S] [--strip] [--jobs N]
-//        cati-synth --shards DIR [--apps N] [--funcs K]
-//                   [--dialect gcc|clang] [--window W] [--shard-vucs N]
-//                   [--seed S] [--progress] [--jobs N]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
 #include <string>
 
 #include "cli.h"
@@ -32,34 +23,37 @@
 
 namespace {
 
-constexpr const char* kUsagePrefix =
-    "usage: cati-synth OUT.img [--name N] [--funcs K] "
-    "[--dialect gcc|clang] [--opt 0..3] [--seed S] [--strip] [--jobs N]\n"
-    "       cati-synth --shards DIR [--apps N] [--funcs K] "
-    "[--dialect gcc|clang] [--window W] [--shard-vucs N] [--seed S] "
-    "[--progress] [--jobs N]";
+struct Options {
+  std::string out;        // image mode: OUT.img
+  std::string shardsDir;  // shard mode: --shards DIR
+  std::string name = "app";
+  int apps = 10;
+  int funcs = -1;  // defaults differ per mode (12 image, 20 corpus)
+  cati::synth::Dialect dialect = cati::synth::Dialect::Gcc;
+  int opt = 2;
+  int window = 10;
+  uint64_t shardVucs = 4096;
+  uint64_t seed = 1;
+  bool doStrip = false;
+  bool progress = false;
+  int jobs = 0;  // 0: CATI_JOBS env or hardware concurrency
+};
 
-std::string usageLine() {
-  return std::string(kUsagePrefix) + cati::cli::kCommonUsage + "\n";
-}
-
-int runShards(const std::string& dir, int apps, int funcs,
-              cati::synth::Dialect dialect, int window, uint64_t shardVucs,
-              uint64_t seed, bool progress, cati::par::ThreadPool& pool) {
+int runShards(const Options& o, cati::par::ThreadPool& pool) {
   using namespace cati;
   // Same plan, same draw order as generateCorpus — the concatenated shard
   // stream is byte-identical to the in-memory corpus — but only one binary
   // (plus the open shard) is ever resident.
   const std::vector<synth::CorpusJob> plan =
-      synth::corpusPlan(apps, funcs, seed);
-  corpus::ShardWriter writer(dir, window, shardVucs);
+      synth::corpusPlan(o.apps, o.funcs < 0 ? 20 : o.funcs, o.seed);
+  corpus::ShardWriter writer(o.shardsDir, o.window, o.shardVucs);
   size_t lastShards = 0;
   for (size_t i = 0; i < plan.size(); ++i) {
     const synth::CorpusJob& j = plan[i];
     const synth::Binary bin =
-        synth::generateBinary(j.profile, dialect, j.opt, j.seed, &pool);
-    writer.append(corpus::extractGroundTruth(bin, window));
-    if (progress && writer.shardsWritten() != lastShards) {
+        synth::generateBinary(j.profile, o.dialect, j.opt, j.seed, &pool);
+    writer.append(corpus::extractGroundTruth(bin, o.window));
+    if (o.progress && writer.shardsWritten() != lastShards) {
       lastShards = writer.shardsWritten();
       std::fprintf(stderr,
                    "cati-synth: %zu/%zu binaries, %zu shards, %llu VUCs\n",
@@ -70,98 +64,23 @@ int runShards(const std::string& dir, int apps, int funcs,
   writer.finish();
   std::printf("%s: %zu shards, %llu VUCs, %llu variables, %zu binaries "
               "(window %d, %s)\n",
-              dir.c_str(), writer.shardsWritten(),
+              o.shardsDir.c_str(), writer.shardsWritten(),
               static_cast<unsigned long long>(writer.vucsWritten()),
               static_cast<unsigned long long>(writer.varsWritten()),
-              plan.size(), window,
-              std::string(synth::dialectName(dialect)).c_str());
+              plan.size(), o.window,
+              std::string(synth::dialectName(o.dialect)).c_str());
   return 0;
 }
 
-int run(int argc, char** argv, const cati::cli::Common& /*common*/) {
+int run(const Options& o, const cati::cli::Table& table) {
   using namespace cati;
-  if (argc < 2) {
-    std::fputs(usageLine().c_str(), stderr);
-    return 2;
-  }
-  std::string out;        // image mode: OUT.img
-  std::string shardsDir;  // shard mode: --shards DIR
-  std::string name = "app";
-  int apps = 10;
-  int funcs = -1;  // defaults differ per mode (12 image, 20 corpus)
-  synth::Dialect dialect = synth::Dialect::Gcc;
-  int opt = 2;
-  int window = 10;
-  uint64_t shardVucs = 4096;
-  uint64_t seed = 1;
-  bool doStrip = false;
-  bool progress = false;
-  int jobs = 0;  // 0: CATI_JOBS env or hardware concurrency
-  cli::SeenFlags seen;
-  bool sawImageOnly = false;  // --name/--opt/--strip
-  bool sawShardOnly = false;  // --apps/--window/--shard-vucs/--progress
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) throw cli::UsageError(arg + ": missing value");
-      return argv[++i];
-    };
-    if (!arg.starts_with("-")) {
-      if (!out.empty()) cli::unknownArg(arg);
-      out = arg;
-    } else if (arg == "--shards") {
-      seen.note(arg);
-      shardsDir = next();
-    } else if (arg == "--name") {
-      seen.note(arg);
-      sawImageOnly = true;
-      name = next();
-    } else if (arg == "--apps") {
-      seen.note(arg);
-      sawShardOnly = true;
-      apps = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--funcs") {
-      seen.note(arg);
-      funcs = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--dialect") {
-      seen.note(arg);
-      dialect = std::string(next()) == "clang" ? synth::Dialect::Clang
-                                               : synth::Dialect::Gcc;
-    } else if (arg == "--opt") {
-      seen.note(arg);
-      sawImageOnly = true;
-      opt = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--window") {
-      seen.note(arg);
-      sawShardOnly = true;
-      window = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--shard-vucs") {
-      seen.note(arg);
-      sawShardOnly = true;
-      shardVucs = static_cast<uint64_t>(cli::parseInt(arg, next()));
-      if (shardVucs == 0) {
-        throw cli::UsageError("--shard-vucs: must be >= 1");
-      }
-    } else if (arg == "--seed") {
-      seen.note(arg);
-      seed = std::strtoull(next(), nullptr, 0);
-    } else if (arg == "--strip") {
-      seen.note(arg);
-      sawImageOnly = true;
-      doStrip = true;
-    } else if (arg == "--progress") {
-      seen.note(arg);
-      sawShardOnly = true;
-      progress = true;
-    } else if (arg == "--jobs") {
-      seen.note(arg);
-      jobs = static_cast<int>(cli::parseInt(arg, next()));
-    } else {
-      cli::unknownArg(arg);
-    }
-  }
-  if (!shardsDir.empty()) {
-    if (!out.empty()) {
+  const bool sawImageOnly = table.given("--name") || table.given("--opt") ||
+                            table.given("--strip");
+  const bool sawShardOnly = table.given("--apps") || table.given("--window") ||
+                            table.given("--shard-vucs") ||
+                            table.given("--progress");
+  if (!o.shardsDir.empty()) {
+    if (!o.out.empty()) {
       throw cli::UsageError("--shards builds a corpus directory; drop the "
                             "OUT.img argument");
     }
@@ -171,38 +90,52 @@ int run(int argc, char** argv, const cati::cli::Common& /*common*/) {
           "corpus spans all apps and optimization levels");
     }
   } else {
-    if (out.empty()) {
-      std::fputs(usageLine().c_str(), stderr);
-      return 2;
-    }
+    if (o.out.empty()) throw cli::UsageError("missing OUT.img or --shards DIR");
     if (sawShardOnly) {
       throw cli::UsageError(
           "--apps/--window/--shard-vucs/--progress require --shards DIR");
     }
   }
 
-  par::ThreadPool pool(par::resolveJobs(jobs));
-  if (!shardsDir.empty()) {
-    return runShards(shardsDir, apps, funcs < 0 ? 20 : funcs, dialect, window,
-                     shardVucs, seed, progress, pool);
-  }
+  par::ThreadPool pool(par::resolveJobs(o.jobs));
+  if (!o.shardsDir.empty()) return runShards(o, pool);
 
   const synth::Binary bin = synth::generateBinary(
-      synth::defaultProfile(name, seed ^ 0xabc, funcs < 0 ? 12 : funcs),
-      dialect, opt, seed, &pool);
+      synth::defaultProfile(o.name, o.seed ^ 0xabc, o.funcs < 0 ? 12 : o.funcs),
+      o.dialect, o.opt, o.seed, &pool);
   loader::Image img = loader::buildImage(bin);
-  if (doStrip) loader::strip(img);
+  if (o.doStrip) loader::strip(img);
 
-  fs::atomicWrite(out, [&img](std::ostream& os) { loader::write(img, os); });
+  fs::atomicWrite(o.out, [&img](std::ostream& os) { loader::write(img, os); });
   std::printf("%s: %zu functions, %zu bytes of .text, %zu symbols%s\n",
-              out.c_str(), img.boundaries.size(), img.text.size(),
-              img.symbols.size(), doStrip ? " (stripped)" : "");
+              o.out.c_str(), img.boundaries.size(), img.text.size(),
+              img.symbols.size(), o.doStrip ? " (stripped)" : "");
   return 0;
 }
 
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cati::cli::toolMain("cati-synth", argc, argv, run,
-                             usageLine().c_str());
+  using namespace cati;
+  using cati::cli::integer;
+  Options o;
+  cli::Table table(
+      "cati-synth",
+      {cli::positional("OUT.img", &o.out, /*required=*/false),
+       cli::text("--shards", "DIR", &o.shardsDir),
+       cli::text("--name", "N", &o.name),
+       integer("--apps", "N", &o.apps, 1),
+       integer("--funcs", "K", &o.funcs, 1),
+       cli::choice("--dialect", &o.dialect,
+                   {{"gcc", synth::Dialect::Gcc},
+                    {"clang", synth::Dialect::Clang}}),
+       integer("--opt", "0..3", &o.opt, 0, 3),
+       integer("--window", "W", &o.window, 0),
+       integer("--shard-vucs", "N", &o.shardVucs, 1),
+       cli::seed("--seed", &o.seed),
+       cli::flag("--strip", &o.doStrip),
+       cli::flag("--progress", &o.progress),
+       integer("--jobs", "N", &o.jobs, 1, par::kMaxJobs)},
+      "  OUT.img writes one image; --shards DIR writes a training corpus\n");
+  return cli::toolMain(table, argc, argv, [&] { return run(o, table); });
 }

@@ -15,16 +15,7 @@
 // (K/M/G) makes that bound an admission check: training refuses to start
 // when the corpus's streaming working set exceeds the budget. For a fixed
 // shard plan the model bytes are identical to the in-memory path.
-//
-// Usage: cati-train MODEL.bin [--apps N] [--funcs K] [--dialect gcc|clang]
-//                   [--corpus-dir DIR] [--max-resident SIZE]
-//                   [--epochs E] [--cap C] [--hidden H] [--window W]
-//                   [--dim D] [--seed S] [--quiet] [--jobs N]
-//                   [--checkpoint DIR] [--checkpoint-every N] [--resume]
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <exception>
 #include <string>
 
 #include "cati/engine.h"
@@ -37,130 +28,41 @@
 
 namespace {
 
-constexpr const char* kUsagePrefix =
-    "usage: cati-train MODEL.bin [--apps N] [--funcs K] "
-    "[--dialect gcc|clang] [--corpus-dir DIR] [--max-resident SIZE] "
-    "[--epochs E] [--cap C] [--hidden H] "
-    "[--window W] [--dim D] [--seed S] [--quiet] [--jobs N] "
-    "[--checkpoint DIR] [--checkpoint-every N] [--resume] "
-    "[--quantize FILE]";
-
-std::string usageLine() {
-  return std::string(kUsagePrefix) + cati::cli::kCommonUsage + "\n";
-}
-
-int run(int argc, char** argv, const cati::cli::Common& common) {
-  using namespace cati;
-  if (argc < 2) {
-    std::fputs(usageLine().c_str(), stderr);
-    return 2;
-  }
-  const std::string out = argv[1];
+struct Options {
+  std::string out;
   int apps = 10;
   int funcs = 20;
-  synth::Dialect dialect = synth::Dialect::Gcc;
-  EngineConfig cfg;
-  cfg.verbose = true;
-  cfg.epochs = 4;
-  cfg.maxTrainPerStage = 10000;
-  cfg.fcHidden = 96;
+  cati::synth::Dialect dialect = cati::synth::Dialect::Gcc;
+  cati::EngineConfig cfg;
   uint64_t seed = 2026;
   int jobs = 0;  // 0: CATI_JOBS env or hardware concurrency
-  TrainCheckpointing ckpt;
+  cati::TrainCheckpointing ckpt;
   std::string quantizeOut;
   std::string corpusDir;
   unsigned long long maxResident = 0;  // 0: no admission check
-  bool sawGenFlag = false;             // --apps/--funcs/--dialect/--seed?
-  bool sawWindow = false;
-  cli::SeenFlags seen;
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    const auto next = [&]() -> const char* {
-      if (i + 1 >= argc) throw cli::UsageError(arg + ": missing value");
-      return argv[++i];
-    };
-    if (arg == "--apps") {
-      seen.note(arg);
-      sawGenFlag = true;
-      apps = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--funcs") {
-      seen.note(arg);
-      sawGenFlag = true;
-      funcs = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--dialect") {
-      seen.note(arg);
-      sawGenFlag = true;
-      dialect = std::string(next()) == "clang" ? synth::Dialect::Clang
-                                               : synth::Dialect::Gcc;
-    } else if (arg == "--corpus-dir") {
-      seen.note(arg);
-      corpusDir = next();
-    } else if (arg == "--max-resident") {
-      seen.note(arg);
-      maxResident = cli::parseSize(arg, next());
-      if (maxResident == 0) {
-        throw cli::UsageError("--max-resident: must be > 0");
-      }
-    } else if (arg == "--epochs") {
-      seen.note(arg);
-      cfg.epochs = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--cap") {
-      seen.note(arg);
-      cfg.maxTrainPerStage = static_cast<size_t>(cli::parseInt(arg, next()));
-    } else if (arg == "--hidden") {
-      seen.note(arg);
-      cfg.fcHidden = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--window") {
-      seen.note(arg);
-      sawWindow = true;
-      cfg.window = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--dim") {
-      seen.note(arg);
-      cfg.w2v.dim = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--seed") {
-      seen.note(arg);
-      sawGenFlag = true;
-      seed = std::strtoull(next(), nullptr, 0);
-    } else if (arg == "--quiet") {
-      seen.note(arg);
-      cfg.verbose = false;
-    } else if (arg == "--jobs") {
-      seen.note(arg);
-      jobs = static_cast<int>(cli::parseInt(arg, next()));
-    } else if (arg == "--checkpoint") {
-      seen.note(arg);
-      ckpt.dir = next();
-    } else if (arg == "--checkpoint-every") {
-      seen.note(arg);
-      ckpt.everyEpochs = static_cast<int>(cli::parseInt(arg, next()));
-      if (ckpt.everyEpochs < 1) {
-        throw cli::UsageError("--checkpoint-every: must be >= 1");
-      }
-    } else if (arg == "--resume") {
-      seen.note(arg);
-      ckpt.resume = true;
-    } else if (arg == "--quantize") {
-      seen.note(arg);
-      quantizeOut = next();
-    } else {
-      cli::unknownArg(arg);
-    }
-  }
+};
+
+int run(Options& o, const cati::cli::Table& table) {
+  using namespace cati;
+  EngineConfig& cfg = o.cfg;
+  const TrainCheckpointing& ckpt = o.ckpt;
   if (ckpt.resume && ckpt.dir.empty()) {
     throw cli::UsageError("--resume requires --checkpoint DIR");
   }
-  if (!corpusDir.empty() && sawGenFlag) {
+  const bool sawGenFlag = table.given("--apps") || table.given("--funcs") ||
+                          table.given("--dialect") || table.given("--seed");
+  if (!o.corpusDir.empty() && sawGenFlag) {
     throw cli::UsageError(
         "--apps/--funcs/--dialect/--seed generate an in-memory corpus and "
         "conflict with --corpus-dir (the corpus is already on disk)");
   }
-  if (corpusDir.empty() && maxResident > 0) {
+  if (o.corpusDir.empty() && o.maxResident > 0) {
     throw cli::UsageError("--max-resident requires --corpus-dir DIR");
   }
 
   // --batch / CATI_BATCH override the training minibatch size (a documented
   // hyperparameter: it changes the trained model, unlike inference batching).
-  cfg.batchSize = par::resolveBatch(common.batch, cfg.batchSize);
+  cfg.batchSize = par::resolveBatch(table.common().batch, cfg.batchSize);
 
   if (!ckpt.dir.empty() && std::filesystem::exists(ckpt.dir)) {
     // Sweep temps a crashed previous writer may have left next to the
@@ -168,22 +70,22 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
     fs::cleanupStaleTemps(ckpt.dir);
   }
 
-  par::ThreadPool pool(par::resolveJobs(jobs));
+  par::ThreadPool pool(par::resolveJobs(o.jobs));
   const TrainCheckpointing* ckptp = ckpt.dir.empty() ? nullptr : &ckpt;
   const auto finish = [&](Engine& engine) {
-    engine.saveFile(out);
-    std::printf("model written to %s\n", out.c_str());
-    if (!quantizeOut.empty()) {
+    engine.saveFile(o.out);
+    std::printf("model written to %s\n", o.out.c_str());
+    if (!o.quantizeOut.empty()) {
       // Post-training int8 quantization: the fp32 model above stays the
       // source of truth; FILE gets the inference-only CQNT container.
-      engine.quantize().saveFile(quantizeOut);
-      std::printf("quantized model written to %s\n", quantizeOut.c_str());
+      engine.quantize().saveFile(o.quantizeOut);
+      std::printf("quantized model written to %s\n", o.quantizeOut.c_str());
     }
   };
 
-  if (!corpusDir.empty()) {
-    corpus::ShardedCorpus sc(corpusDir);
-    if (sawWindow && cfg.window != sc.window()) {
+  if (!o.corpusDir.empty()) {
+    corpus::ShardedCorpus sc(o.corpusDir);
+    if (table.given("--window") && cfg.window != sc.window()) {
       throw cli::UsageError(
           "--window " + std::to_string(cfg.window) +
           " disagrees with the corpus (built with --window " +
@@ -191,23 +93,24 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
           "); drop the flag or re-run cati-synth --shards");
     }
     cfg.window = sc.window();
-    if (maxResident > 0) {
+    if (o.maxResident > 0) {
       // The engine keeps the union of all six stages' training subsets
       // resident (one gather pass instead of six), so the admission check
       // budgets stages x per-stage cap gathered VUCs.
       const uint64_t need = sc.streamingResidentBytes(
           static_cast<uint64_t>(kNumStages) * cfg.maxTrainPerStage);
-      if (need > maxResident) {
+      if (need > o.maxResident) {
         throw cli::UsageError(
             "--max-resident: streaming working set is ~" +
-            std::to_string(need) + " bytes (> " + std::to_string(maxResident) +
+            std::to_string(need) + " bytes (> " +
+            std::to_string(o.maxResident) +
             "); raise the budget, lower --cap, or rebuild the corpus with a "
             "smaller cati-synth --shard-vucs");
       }
     }
     std::printf("streaming corpus %s: %zu shards, %llu VUCs, %llu variables "
                 "(window %d, %d jobs)\n",
-                corpusDir.c_str(), sc.numShards(),
+                o.corpusDir.c_str(), sc.numShards(),
                 static_cast<unsigned long long>(sc.numVucs()),
                 static_cast<unsigned long long>(sc.numVars()), cfg.window,
                 pool.jobs());
@@ -220,9 +123,10 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
 
   std::printf("generating corpus: %d apps x O0-O3 x %d functions (%s, %d "
               "jobs)\n",
-              apps, funcs, std::string(synth::dialectName(dialect)).c_str(),
-              pool.jobs());
-  const auto bins = synth::generateCorpus(apps, funcs, dialect, seed, &pool);
+              o.apps, o.funcs,
+              std::string(synth::dialectName(o.dialect)).c_str(), pool.jobs());
+  const auto bins =
+      synth::generateCorpus(o.apps, o.funcs, o.dialect, o.seed, &pool);
   const corpus::Dataset train =
       corpus::extractAll(bins, cfg.window, true, &pool);
   std::printf("  %zu variables, %zu VUCs\n", train.vars.size(),
@@ -237,6 +141,35 @@ int run(int argc, char** argv, const cati::cli::Common& common) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  return cati::cli::toolMain("cati-train", argc, argv, run,
-                             usageLine().c_str());
+  using namespace cati;
+  using cati::cli::integer;
+  Options o;
+  o.cfg.verbose = true;
+  o.cfg.epochs = 4;
+  o.cfg.maxTrainPerStage = 10000;
+  o.cfg.fcHidden = 96;
+  cli::Table table(
+      "cati-train",
+      {cli::positional("MODEL.bin", &o.out),
+       integer("--apps", "N", &o.apps, 1),
+       integer("--funcs", "K", &o.funcs, 1),
+       cli::choice("--dialect", &o.dialect,
+                   {{"gcc", synth::Dialect::Gcc},
+                    {"clang", synth::Dialect::Clang}}),
+       cli::text("--corpus-dir", "DIR", &o.corpusDir),
+       cli::size("--max-resident", "SIZE", &o.maxResident, 1),
+       integer("--epochs", "E", &o.cfg.epochs, 0),
+       integer("--cap", "C", &o.cfg.maxTrainPerStage, 1),
+       integer("--hidden", "H", &o.cfg.fcHidden, 1),
+       integer("--window", "W", &o.cfg.window, 0),
+       integer("--dim", "D", &o.cfg.w2v.dim, 1),
+       cli::seed("--seed", &o.seed),
+       cli::flag("--quiet", &o.cfg.verbose, false),
+       integer("--jobs", "N", &o.jobs, 1, par::kMaxJobs),
+       cli::text("--checkpoint", "DIR", &o.ckpt.dir),
+       integer("--checkpoint-every", "N", &o.ckpt.everyEpochs, 1),
+       cli::flag("--resume", &o.ckpt.resume),
+       cli::text("--quantize", "FILE", &o.quantizeOut)});
+  return cli::toolMain(table, argc, argv,
+                       [&] { return run(o, table); });
 }
