@@ -94,8 +94,9 @@ BENCHMARK(BM_VoteVariable)->Unit(benchmark::kMicrosecond);
 void BM_AnalyzeBinaryEndToEnd(benchmark::State& state) {
   // The headline number: one stripped binary through the path cati-infer
   // runs (serve::analyzeImage) — disassembly, variable recovery, the
-  // interprocedural pass, VUC extraction, one six-stage predict over every
-  // VUC of the binary, voting and report rendering — on one worker.
+  // interprocedural pass, VUC extraction, one routed predict over every
+  // VUC of the binary (each variable's voted stage path only), voting and
+  // report rendering — on one worker.
   Engine& e = bundle().engine();
   const synth::Binary bin = testBinary();
   loader::Image img = loader::buildImage(bin);

@@ -4,6 +4,7 @@
 #include <array>
 #include <fstream>
 #include <iostream>
+#include <numeric>
 #include <optional>
 #include <sstream>
 #include <stdexcept>
@@ -463,40 +464,37 @@ Engine::WorkerState& Engine::worker(int w) {
   return ws;
 }
 
-void Engine::predictRange(std::span<const corpus::Vuc> vucs, size_t b,
-                          size_t e, int batch, WorkerState& ws,
-                          StageProbs* out) {
+void Engine::forwardPass(std::span<const corpus::Vuc> vucs, ForwardPass pass,
+                         int batch, WorkerState& ws, StageProbs* out) {
   static const std::array<obs::Counter*, kNumStages> samples =
       stageCounters("engine.infer.samples");
   // Tail sub-batches run short rather than padded; this counter records the
-  // slots a padded design would have wasted (it depends only on the VUC
-  // count and the batch size, so it is jobs-invariant).
+  // slots a padded design would have wasted (it depends only on the pass
+  // sizes and the batch size, so it is jobs-invariant).
   static obs::Counter& batchPad = obs::counter("engine.infer.batch_pad");
   const auto inSize = static_cast<size_t>(inputShape().size());
   const auto bs = static_cast<size_t>(std::max(1, batch));
-  for (size_t sb = b; sb < e; sb += bs) {
+  const size_t n = pass.idx.size();
+  for (size_t sb = 0; sb < n; sb += bs) {
     // Deadline check once per sub-batch: cheap (a clock read, only when a
     // deadline is set) and bounds how late a timeout can fire by one batch.
     checkDeadline();
-    const size_t nb = std::min(bs, e - sb);
+    const size_t nb = std::min(bs, n - sb);
     ws.input.resize(nb * inSize);
     for (size_t k = 0; k < nb; ++k) {
-      encodeInput(vucs[sb + k], -1,
+      encodeInput(vucs[pass.idx[sb + k]], -1,
                   std::span(ws.input).subspan(k * inSize, inSize));
     }
-    for (int s = 0; s < kNumStages; ++s) {
-      samples[static_cast<size_t>(s)]->add(nb);
-      const auto classes =
-          static_cast<size_t>(numClasses(static_cast<Stage>(s)));
+    for (const Stage st : pass.stages) {
+      const auto s = static_cast<size_t>(st);
+      samples[s]->add(nb);
+      const auto classes = static_cast<size_t>(numClasses(st));
       // One shared-const forward over the whole sub-batch, caches skipped
       // (Phase::kInfer).
-      const auto logits =
-          stages_[static_cast<size_t>(s)].forward(ws.input,
-                                                  static_cast<int>(nb),
-                                                  ws.stages[static_cast<size_t>(s)],
-                                                  nn::Phase::kInfer);
+      const auto logits = stages_[s].forward(ws.input, static_cast<int>(nb),
+                                             ws.stages[s], nn::Phase::kInfer);
       for (size_t k = 0; k < nb; ++k) {
-        auto& probs = out[sb + k].probs[static_cast<size_t>(s)];
+        auto& probs = out[pass.idx[sb + k]].probs[s];
         probs.resize(classes);
         nn::SoftmaxCE::forward(logits.subspan(k * classes, classes), -1,
                                probs);
@@ -516,15 +514,10 @@ void Engine::runStage(Stage s, std::span<const float> input,
   nn::SoftmaxCE::forward(logits, -1, probs);
 }
 
-StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
-  if (!trained()) throw std::logic_error("Engine::predictVuc: not trained");
-  StageProbs out;
-  predictRange(std::span<const corpus::Vuc>(&vuc, 1), 0, 1, 1, worker(0),
-               &out);
-  return out;
-}
-
 namespace {
+
+constexpr std::array<Stage, kNumStages> kAllStages = {
+    Stage::S1, Stage::S2_1, Stage::S2_2, Stage::S3_1, Stage::S3_2, Stage::S3_3};
 
 // Prediction fan-out grain: small enough to balance uneven VUC batches,
 // large enough that chunk dispatch is amortized. Chunk boundaries don't
@@ -536,7 +529,117 @@ constexpr size_t kPredictGrain = 16;
 // that a worker's activation arena stays cache-resident.
 constexpr int kDefaultInferBatch = 32;
 
+/// One stage's vote over a variable's VUCs (formulas 3-4).
+struct StageVote {
+  int cls = 0;          ///< winning class (lowest index on ties)
+  float sum = 0.0F;     ///< its clipped confidence sum
+  uint64_t clipped = 0; ///< confidences raised to 1.0
+};
+
+/// Formulas 3-4 at stage `s` over `n` VUCs: clip confidences at or above
+/// the threshold to 1.0 (when enabled), sum per class in VUC order, argmax.
+/// probsAt(k) is VUC k's distribution at `s`; one without numClasses(s)
+/// entries (the stage was not evaluated) throws MissingStageError. The one
+/// vote shared by voteVariable, finishFunction and predictRouted's routing.
+template <typename ProbsAt>
+StageVote voteStage(Stage s, size_t n, ProbsAt probsAt, float clipThreshold,
+                    bool clipEnabled) {
+  const auto classes = static_cast<size_t>(numClasses(s));
+  std::vector<float> sums(classes, 0.0F);
+  StageVote v;
+  for (size_t k = 0; k < n; ++k) {
+    const std::vector<float>& probs = probsAt(k);
+    if (probs.size() != classes) {
+      throw MissingStageError(std::string(stageName(s)) +
+                              " was not evaluated for a VUC on the voted path");
+    }
+    for (size_t c = 0; c < classes; ++c) {
+      float z = probs[c];
+      if (clipEnabled && z >= clipThreshold) {
+        z = 1.0F;
+        ++v.clipped;
+      }
+      sums[c] += z;
+    }
+  }
+  v.cls = num::argmax(sums);
+  v.sum = sums[static_cast<size_t>(v.cls)];
+  return v;
+}
+
+/// A variable's decision from `n` VUCs: every stage voted when `allStages`
+/// (voteVariable), else only the stages the walk down the tree reaches
+/// (finishFunction). Records the engine.vote.* metrics of the stages voted.
+template <typename ProbsAt>
+VariableDecision voteTree(size_t n, ProbsAt probsAt, float clipThreshold,
+                          bool clipEnabled, bool allStages) {
+  if (n == 0) throw std::invalid_argument("voteVariable: no VUCs");
+  static const std::array<obs::Histogram*, kNumStages> confidence =
+      stageHistograms("engine.vote.confidence", obs::Unit::Count);
+  static obs::Counter& voteVars = obs::counter("engine.vote.variables");
+  static obs::Counter& voteVucs = obs::counter("engine.vote.vucs");
+  static obs::Counter& voteClipped = obs::counter("engine.vote.clipped");
+  voteVars.add();
+  voteVucs.add(n);
+  VariableDecision d;
+  d.stageClass.fill(-1);
+  uint64_t clipped = 0;
+  const auto vote = [&](Stage s) {
+    const auto si = static_cast<size_t>(s);
+    const auto stageProbsAt = [&](size_t k) -> const std::vector<float>& {
+      return probsAt(k).probs[si];
+    };
+    const StageVote v =
+        voteStage(s, n, stageProbsAt, clipThreshold, clipEnabled);
+    clipped += v.clipped;
+    // Mean winning-class vote — the distribution the paper's formula 4
+    // argmaxes over, normalized to [0, 1] by the VUC count.
+    confidence[si]->observe(static_cast<double>(v.sum) /
+                            static_cast<double>(n));
+    d.stageClass[si] = v.cls;
+    return v.cls;
+  };
+  if (allStages) {
+    for (const Stage s : kAllStages) vote(s);
+  }
+  d.finalType = walkStageTree([&](Stage s) {
+    return allStages ? d.stageClass[static_cast<size_t>(s)] : vote(s);
+  });
+  voteClipped.add(clipped);
+  return d;
+}
+
 }  // namespace
+
+void Engine::forwardPasses(std::span<const corpus::Vuc> vucs,
+                           std::span<const ForwardPass> passes,
+                           par::ThreadPool& tp, int batch, StageProbs* out) {
+  // Worker scratches are created outside the parallel region (worker() may
+  // grow the vector); the fan-out then only touches disjoint entries.
+  for (int w = 0; w < tp.jobs(); ++w) worker(w);
+  // Grain grows with the batch size so a full chunk feeds at least one full
+  // forward pass; boundaries stay fixed for a given (pass sizes, batch).
+  const size_t grain = std::max(kPredictGrain, static_cast<size_t>(batch));
+  std::vector<ForwardPass> chunks;
+  for (const ForwardPass& p : passes) {
+    for (size_t c = 0; c < par::numChunks(p.idx.size(), grain); ++c) {
+      const par::ChunkRange r = par::chunkRange(p.idx.size(), grain, c);
+      chunks.push_back({p.stages, p.idx.subspan(r.begin, r.end - r.begin)});
+    }
+  }
+  tp.run(chunks.size(), [&](size_t c, int w) {
+    forwardPass(vucs, chunks[c], batch, workers_[static_cast<size_t>(w)], out);
+  });
+}
+
+StageProbs Engine::predictVuc(const corpus::Vuc& vuc) {
+  if (!trained()) throw std::logic_error("Engine::predictVuc: not trained");
+  StageProbs out;
+  const uint32_t only = 0;
+  forwardPass(std::span<const corpus::Vuc>(&vuc, 1), {kAllStages, {&only, 1}},
+              1, worker(0), &out);
+  return out;
+}
 
 std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
                                             par::ThreadPool* pool,
@@ -547,20 +650,71 @@ std::vector<StageProbs> Engine::predictVucs(std::span<const corpus::Vuc> vucs,
   const obs::ScopedTimer timing(batchNs);
   inferVucs.add(vucs.size());
   par::ThreadPool inlinePool(1);
+  std::vector<uint32_t> all(vucs.size());
+  std::iota(all.begin(), all.end(), 0U);
+  const ForwardPass pass{kAllStages, all};
+  std::vector<StageProbs> out(vucs.size());
+  forwardPasses(vucs, {&pass, 1}, pool ? *pool : inlinePool,
+                par::resolveBatch(batch, kDefaultInferBatch), out.data());
+  return out;
+}
+
+std::vector<StageProbs> Engine::predictRouted(
+    std::span<const corpus::Vuc> vucs, std::span<const uint32_t> varOf,
+    size_t numVars, par::ThreadPool* pool, int batch) {
+  if (!trained()) throw std::logic_error("Engine::predictRouted: not trained");
+  if (varOf.size() != vucs.size()) {
+    throw std::invalid_argument("predictRouted: varOf/vucs size mismatch");
+  }
+  static obs::Histogram& batchNs = obs::timer("engine.infer.batch_ns");
+  static obs::Counter& inferVucs = obs::counter("engine.infer.vucs");
+  const obs::ScopedTimer timing(batchNs);
+  inferVucs.add(vucs.size());
+  par::ThreadPool inlinePool(1);
   par::ThreadPool& tp = pool ? *pool : inlinePool;
   const int bs = par::resolveBatch(batch, kDefaultInferBatch);
-  // Worker scratches are created outside the parallel region (worker() may
-  // grow the vector); the fan-out then only touches disjoint entries.
-  for (int w = 0; w < tp.jobs(); ++w) worker(w);
-  // Grain grows with the batch size so a full chunk feeds at least one full
-  // forward pass; boundaries stay fixed for a given (n, batch).
-  const size_t grain = std::max(kPredictGrain, static_cast<size_t>(bs));
+
+  // Each variable's VUCs in request order — the order its votes sum in.
+  std::vector<std::vector<uint32_t>> byVar(numVars);
+  for (size_t i = 0; i < varOf.size(); ++i) {
+    if (varOf[i] >= numVars) {
+      throw std::invalid_argument("predictRouted: variable id out of range");
+    }
+    byVar[varOf[i]].push_back(static_cast<uint32_t>(i));
+  }
+  // The stage each variable is evaluated at in the next wave; nullopt once
+  // it has reached a leaf (or has no VUCs).
+  std::vector<std::optional<Stage>> at(numVars);
+  for (size_t v = 0; v < numVars; ++v) {
+    if (!byVar[v].empty()) at[v] = Stage::S1;
+  }
   std::vector<StageProbs> out(vucs.size());
-  par::parallelChunks(
-      tp, vucs.size(), grain, [&](size_t b, size_t e, size_t, int w) {
-        predictRange(vucs, b, e, bs, workers_[static_cast<size_t>(w)],
-                     out.data());
-      });
+  for (;;) {
+    // One wave: every VUC whose variable sits at stage s, per stage.
+    std::array<std::vector<uint32_t>, kNumStages> sel;
+    for (size_t i = 0; i < varOf.size(); ++i) {
+      if (const auto s = at[varOf[i]]) {
+        sel[static_cast<size_t>(*s)].push_back(static_cast<uint32_t>(i));
+      }
+    }
+    std::vector<ForwardPass> passes;
+    for (size_t s = 0; s < kNumStages; ++s) {
+      if (!sel[s].empty()) passes.push_back({{&kAllStages[s], 1}, sel[s]});
+    }
+    if (passes.empty()) break;
+    forwardPasses(vucs, passes, tp, bs, out.data());
+    // Vote the stage just evaluated; the winner picks the next wave's stage.
+    for (size_t v = 0; v < numVars; ++v) {
+      if (!at[v]) continue;
+      const Stage s = *at[v];
+      const auto probsAt = [&](size_t k) -> const std::vector<float>& {
+        return out[byVar[v][k]].probs[static_cast<size_t>(s)];
+      };
+      at[v] = nextStage(s, voteStage(s, byVar[v].size(), probsAt,
+                                     cfg_.voteClip, cfg_.clipEnabled)
+                               .cls);
+    }
+  }
   return out;
 }
 
@@ -577,46 +731,10 @@ VariableDecision Engine::voteVariable(
 VariableDecision Engine::voteVariable(std::span<const StageProbs> vucProbs,
                                       float clipThreshold,
                                       bool clipEnabled) const {
-  if (vucProbs.empty()) {
-    throw std::invalid_argument("voteVariable: no VUCs");
-  }
-  static const std::array<obs::Histogram*, kNumStages> confidence =
-      stageHistograms("engine.vote.confidence", obs::Unit::Count);
-  static obs::Counter& voteVars = obs::counter("engine.vote.variables");
-  static obs::Counter& voteVucs = obs::counter("engine.vote.vucs");
-  static obs::Counter& voteClipped = obs::counter("engine.vote.clipped");
-  voteVars.add();
-  voteVucs.add(vucProbs.size());
-  VariableDecision d;
-  // Formula 3-4 per stage: clip high confidences to 1.0 and sum.
-  uint64_t clipped = 0;
-  for (int s = 0; s < kNumStages; ++s) {
-    const int classes = numClasses(static_cast<Stage>(s));
-    std::vector<float> sums(static_cast<size_t>(classes), 0.0F);
-    for (const StageProbs& p : vucProbs) {
-      const auto& probs = p.probs[static_cast<size_t>(s)];
-      for (int c = 0; c < classes; ++c) {
-        float z = probs[static_cast<size_t>(c)];
-        if (clipEnabled && z >= clipThreshold) {
-          z = 1.0F;
-          ++clipped;
-        }
-        sums[static_cast<size_t>(c)] += z;
-      }
-    }
-    const int winner = num::argmax(sums);
-    d.stageClass[static_cast<size_t>(s)] = winner;
-    // Mean winning-class vote per stage — the distribution the paper's
-    // formula 4 argmaxes over, normalized to [0, 1] by the VUC count.
-    confidence[static_cast<size_t>(s)]->observe(
-        static_cast<double>(sums[static_cast<size_t>(winner)]) /
-        static_cast<double>(vucProbs.size()));
-  }
-  voteClipped.add(clipped);
-  // Route the voted classes down the tree to the final type.
-  d.finalType = walkStageTree(
-      [&](Stage s) { return d.stageClass[static_cast<size_t>(s)]; });
-  return d;
+  return voteTree(
+      vucProbs.size(),
+      [&](size_t k) -> const StageProbs& { return vucProbs[k]; },
+      clipThreshold, clipEnabled, /*allStages=*/true);
 }
 
 double Engine::occlusionEpsilon(const corpus::Vuc& vuc, int k, Stage u) {
@@ -670,32 +788,37 @@ std::vector<AnalyzedVariable> Engine::finishFunction(
   const auto byVar = work.ds.vucsByVar();
   std::vector<AnalyzedVariable> out;
   for (size_t v = 0; v < work.rec.vars.size(); ++v) {
-    if (byVar[v].empty()) continue;
+    const std::vector<uint32_t>& ids = byVar[v];
+    if (ids.empty()) continue;
     // Per-variable isolation: a poisoned variable (broken stage routing,
-    // malformed probabilities) degrades to a diagnostic and a counter; the
-    // rest of the function still gets typed. Deadline expiry is not a
-    // degradation — it must stop the whole analysis, so it passes through.
+    // a stage missing on the voted path, malformed probabilities) degrades
+    // to a diagnostic and a counter; the rest of the function still gets
+    // typed. Deadline expiry is not a degradation — it must stop the whole
+    // analysis, so it passes through.
     try {
-      std::vector<StageProbs> varProbs;
-      varProbs.reserve(byVar[v].size());
-      for (const uint32_t i : byVar[v]) varProbs.push_back(probs[i]);
-      const VariableDecision d = voteVariable(varProbs);
+      const auto probsAt = [&](size_t k) -> const StageProbs& {
+        return probs[ids[k]];
+      };
+      const VariableDecision d =
+          voteTree(ids.size(), probsAt, cfg_.voteClip, cfg_.clipEnabled,
+                   /*allStages=*/false);
 
       AnalyzedVariable av;
       av.location = work.rec.vars[v];
       av.type = d.finalType;
-      av.numVucs = byVar[v].size();
-      // Confidence: mean probability of the winning class at the leaf stage.
+      av.numVucs = ids.size();
+      // Confidence: mean probability of the winning class at the leaf stage
+      // (the last stage voted, so its distributions are all present).
       const StagePath path = pathOf(d.finalType);
       const Stage leafStage =
           path.stages[static_cast<size_t>(path.length - 1)];
       const int leafCls = stageClassOf(leafStage, d.finalType);
       float sum = 0.0F;
-      for (const StageProbs& p : varProbs) {
-        sum += p.probs[static_cast<size_t>(leafStage)]
-                      [static_cast<size_t>(leafCls)];
+      for (size_t k = 0; k < ids.size(); ++k) {
+        sum += probsAt(k).probs[static_cast<size_t>(leafStage)]
+                               [static_cast<size_t>(leafCls)];
       }
-      av.confidence = sum / static_cast<float>(varProbs.size());
+      av.confidence = sum / static_cast<float>(ids.size());
       out.push_back(std::move(av));
     } catch (const TimeoutError&) {
       throw;

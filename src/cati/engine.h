@@ -14,6 +14,7 @@
 #include <optional>
 #include <ostream>
 #include <span>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -58,16 +59,27 @@ struct EngineConfig {
   bool verbose = false;
 };
 
-/// Per-stage softmax distributions for one VUC. Every stage is always
-/// evaluated (the voting tables need all of them); probs[s] has
-/// numClasses(stage s) entries.
+/// Per-stage softmax distributions for one VUC. probs[s] has
+/// numClasses(stage s) entries when stage s was evaluated and is empty when
+/// it was not: predictVucs evaluates all six (the per-stage evaluation
+/// tables need them), predictRouted only the stages on the voted path of
+/// the VUC's variable.
 struct StageProbs {
   std::array<std::vector<float>, kNumStages> probs;
 };
 
+/// A vote needed a stage that was never evaluated: the distribution at a
+/// stage on the voted path is missing or has the wrong class count.
+/// finishFunction degrades the one variable it hits.
+class MissingStageError : public std::logic_error {
+ public:
+  using std::logic_error::logic_error;
+};
+
 /// A variable-level decision after voting.
 struct VariableDecision {
-  /// Voted class per stage (always filled for all six stages).
+  /// Voted class per stage: voteVariable fills all six; stages off the
+  /// voted path hold -1 when only the path was voted (finishFunction).
   std::array<int, kNumStages> stageClass{};
   /// Leaf reached by routing the voted classes down the tree.
   TypeLabel finalType = TypeLabel::Int;
@@ -121,7 +133,7 @@ class Engine {
   bool trained() const { return encoder_.has_value(); }
 
   /// Wall-clock deadline for analysis (--timeout-ms): prepareFunction and
-  /// every NN sub-batch of predictVucs check it and throw cati::TimeoutError
+  /// every NN sub-batch of a predict check it and throw cati::TimeoutError
   /// on expiry. nullopt (default) disables.
   void setDeadline(std::optional<std::chrono::steady_clock::time_point> d) {
     deadline_ = d;
@@ -131,21 +143,42 @@ class Engine {
   // (Model weights are shared-const during inference; all mutable state is
   // per-worker scratch owned by this Engine, so one Engine must not be used
   // from multiple threads concurrently — fan-out happens *inside*
-  // predictVucs, where each pool worker gets its own scratch arena.)
+  // predictVucs/predictRouted, where each pool worker gets its own scratch
+  // arena.)
   StageProbs predictVuc(const corpus::Vuc& vuc);
-  /// Batched prediction; out[i] corresponds to vucs[i]. Workers run forward
-  /// passes on the one shared set of weights with per-worker scratch;
-  /// kernels preserve per-sample accumulation order, so results are
-  /// bit-identical to a serial predictVuc loop at any job count and any
-  /// batch size. batch <= 0 resolves via par::resolveBatch (CATI_BATCH env,
-  /// then a default of 32).
+  /// Batched prediction of all six stages for every VUC — the evaluation
+  /// API (per-stage tables, goldens, routeVuc); analysis uses predictRouted.
+  /// out[i] corresponds to vucs[i]. Workers run forward passes on the one
+  /// shared set of weights with per-worker scratch; kernels preserve
+  /// per-sample accumulation order, so results are bit-identical to a
+  /// serial predictVuc loop at any job count and any batch size. batch <= 0
+  /// resolves via par::resolveBatch (CATI_BATCH env, then a default of 32).
   std::vector<StageProbs> predictVucs(std::span<const corpus::Vuc> vucs,
                                       par::ThreadPool* pool = nullptr,
                                       int batch = 0);
-  /// Hard routing of one VUC's stage distributions down the tree.
+  /// Routed prediction (DESIGN.md §10): runs each variable's VUCs down only
+  /// its voted path of the stage tree, in coalesced waves. Wave 1 runs
+  /// Stage 1 over every VUC; each variable then votes (formulas 3-4), and
+  /// its VUCs go through the voted next stage in the next wave, until every
+  /// variable reaches a leaf: at most three forwards per VUC instead of six.
+  /// varOf[i] < numVars is vucs[i]'s variable. out[i] holds predictVucs'
+  /// bits on that variable's path and empty vectors off it, at any job
+  /// count and batch size and whatever other variables share the call.
+  /// Pool, batch, deadline and the one engine.infer.batch_ns observation
+  /// per call are as for predictVucs.
+  std::vector<StageProbs> predictRouted(std::span<const corpus::Vuc> vucs,
+                                        std::span<const uint32_t> varOf,
+                                        size_t numVars,
+                                        par::ThreadPool* pool = nullptr,
+                                        int batch = 0);
+  /// Hard routing of one VUC's stage distributions down the tree (needs the
+  /// stages on the VUC's own argmax path, e.g. from predictVucs).
   TypeLabel routeVuc(const StageProbs& p) const;
 
   // --- variable-level voting (formulas 2-4) ---
+  /// Votes every stage (the per-stage tables read all six classes), then
+  /// routes the voted classes to the final type. A stage whose distribution
+  /// is missing throws MissingStageError.
   VariableDecision voteVariable(std::span<const StageProbs> vucProbs) const;
   /// Voting with explicit clipping parameters (used by the threshold
   /// ablation bench); clipEnabled=false reduces to plain confidence sums.
@@ -159,8 +192,8 @@ class Engine {
 
   // --- stripped-binary analysis, in three phases (DESIGN.md §10) ---
   // Phase 1 prepareFunction (recovery supplied, VUC extraction), phase 2
-  // predictVucs, phase 3 finishFunction (voting). serve::PreparedRequest
-  // runs phase 1 for every function of a binary and one predictVucs over
+  // predictRouted, phase 3 finishFunction (voting). serve::PreparedRequest
+  // runs phase 1 for every function of a binary and one predictRouted over
   // all their VUCs — cati-infer for one binary, cati-serve across the
   // requests of a group. Kernels preserve per-sample accumulation order, so
   // the votes, and the rendered report, do not depend on how VUCs were
@@ -181,9 +214,12 @@ class Engine {
 
   /// Phase 3: voting + confidence over `probs`, which must hold one
   /// StageProbs per work.ds.vucs entry, in order (typically a slice of a
-  /// coalesced predictVucs result); only each VUC's varId is read. One
-  /// poisoned variable degrades (a Diag in `diags` + the
-  /// engine.analyze.degraded counter) instead of aborting the function.
+  /// coalesced predictRouted result; predictVucs output gives the same
+  /// variables); only each VUC's varId is read. Each variable votes stage
+  /// by stage down the tree, reading only the stages on its voted path. One
+  /// poisoned variable — e.g. a MissingStageError on that path — degrades
+  /// (a Diag in `diags` + the engine.analyze.degraded counter) instead of
+  /// aborting the function.
   std::vector<AnalyzedVariable> finishFunction(
       const FunctionWork& work, std::span<const StageProbs> probs,
       DiagList* diags = nullptr) const;
@@ -223,8 +259,8 @@ class Engine {
 
  private:
   /// Per-worker inference state: one nn::Scratch per stage net plus the
-  /// reusable batch input buffer. Grown lazily, reused across predictVucs
-  /// calls so steady-state inference allocates nothing.
+  /// reusable batch input buffer. Grown lazily, reused across predict calls
+  /// so steady-state inference allocates nothing.
   struct WorkerState {
     std::vector<nn::Scratch> stages;
     std::vector<float> input;  // [batch x inputShape]
@@ -284,10 +320,22 @@ class Engine {
   /// The lazily-created scratch for worker `w`. Must be called outside any
   /// parallel region (it may grow workers_); train() invalidates all states.
   WorkerState& worker(int w);
-  /// Predicts vucs[b, e) into out[b, e) in sub-batches of `batch` samples
-  /// on one worker's scratch.
-  void predictRange(std::span<const corpus::Vuc> vucs, size_t b, size_t e,
-                    int batch, WorkerState& ws, StageProbs* out);
+  /// Predict work: the VUCs vucs[idx[k]] through each stage of `stages`.
+  struct ForwardPass {
+    std::span<const Stage> stages;
+    std::span<const uint32_t> idx;
+  };
+  /// The one sub-batch forward loop: in sub-batches of `batch` samples on
+  /// one worker's scratch, encodes each window of `pass` once and runs every
+  /// stage of the pass over the sub-batch, writing out[idx[k]].probs[s].
+  void forwardPass(std::span<const corpus::Vuc> vucs, ForwardPass pass,
+                   int batch, WorkerState& ws, StageProbs* out);
+  /// Fans `passes` out over the pool in fixed-grain chunks of each pass (so
+  /// every sub-batch boundary depends only on the passes and `batch`, never
+  /// on the job count) and forwards each chunk.
+  void forwardPasses(std::span<const corpus::Vuc> vucs,
+                     std::span<const ForwardPass> passes, par::ThreadPool& tp,
+                     int batch, StageProbs* out);
 
   void saveQuantized(std::ostream& os) const;
   /// Parses a CQNT container positioned at `is`. With mapBase == nullptr the

@@ -116,7 +116,8 @@ AnalyzeResult analyzeImage(Engine& engine, const loader::Image& img,
   }
   std::vector<StageProbs> probs;
   try {
-    probs = engine.predictVucs(prep.vucs(), pool, batch);
+    probs = engine.predictRouted(prep.vucs(), prep.varOf(), prep.numVars(),
+                                 pool, batch);
   } catch (const TimeoutError&) {
     engine.setDeadline(std::nullopt);
     return prep.finishTimedOut(opts.timeoutMs);
@@ -161,10 +162,12 @@ PreparedRequest::PreparedRequest(const Engine& engine, loader::Image img,
       // only each VUC's var id, so that is all the work keeps.
       pf.vucBegin = vucs_.size();
       for (corpus::Vuc& v : work.ds.vucs) {
+        varOf_.push_back(static_cast<uint32_t>(numVars_ + v.varId));
         corpus::Vuc idOnly;
         idOnly.varId = v.varId;
         vucs_.push_back(std::exchange(v, std::move(idOnly)));
       }
+      numVars_ += work.rec.vars.size();
       pf.work = std::move(work);
     } catch (const TimeoutError&) {
       throw;

@@ -4,7 +4,7 @@
 //   phase 1  the constructor: disassemble, recover every function, run the
 //            interprocedural pass, extract every function's VUCs into one
 //            buffer (per-function degradation happens here);
-//   phase 2  the caller: ONE Engine::predictVucs over vucs();
+//   phase 2  the caller: ONE Engine::predictRouted over vucs() and varOf();
 //   phase 3  finish(): votes, per-variable degradation, report rendering.
 //
 // cati-serve concatenates many requests' vucs() into one predict. cati-infer
@@ -48,7 +48,7 @@ struct AnalyzeResult {
 };
 
 /// The full offline analysis of one image: a PreparedRequest of one image,
-/// one predictVucs over its VUCs, then finish(). With timeoutMs > 0 the
+/// one predictRouted over its VUCs, then finish(). With timeoutMs > 0 the
 /// budget runs from this call: phase 1 always completes, and the deadline,
 /// armed on the engine for the predict, is checked before every NN
 /// sub-batch. Expiry yields a clean report with no function typed and the
@@ -75,9 +75,16 @@ class PreparedRequest {
   /// the unit of prediction (and of the daemon's cross-request coalescing).
   /// Each VUC is held once: the per-function work keeps only its var ids.
   const std::vector<corpus::Vuc>& vucs() const { return vucs_; }
+  /// Request-wide variable index of each VUC (its function's variable base
+  /// plus its local varId), in [0, numVars()): predictRouted's routing key.
+  /// The daemon shifts each request's ids by a running offset when it
+  /// coalesces.
+  const std::vector<uint32_t>& varOf() const { return varOf_; }
+  size_t numVars() const { return numVars_; }
 
   /// Phase 3: votes, per-variable degradation and report rendering from this
-  /// request's probabilities (probs.size() must equal vucs().size()).
+  /// request's probabilities (probs.size() must equal vucs().size()), routed
+  /// or eager — the votes read only each variable's voted path.
   /// Diagnostics are assembled in function order: disassembly first, then
   /// each function's fragment regardless of which phase produced it.
   AnalyzeResult finish(const Engine& engine,
@@ -102,6 +109,8 @@ class PreparedRequest {
   DiagList preDiags_;  ///< disassembly diagnostics
   std::vector<PreparedFn> fns_;
   std::vector<corpus::Vuc> vucs_;
+  std::vector<uint32_t> varOf_;
+  size_t numVars_ = 0;
 };
 
 }  // namespace cati::serve

@@ -221,6 +221,7 @@ void Server::readerLoop(Conn& conn) {
 }
 
 void Server::writerLoop(Conn& conn) {
+  static obs::Counter& dropped = obs::counter("serve.conn.dropped_replies");
   for (;;) {
     std::string frame;
     {
@@ -237,7 +238,12 @@ void Server::writerLoop(Conn& conn) {
       conn.outbound.pop_front();
     }
     if (!sock::sendAll(conn.fd.get(), frame.data(), frame.size())) {
+      // The peer is gone. A reply queued before its reader saw the hang-up
+      // is as undelivered as one trySend refused after it, and so is
+      // everything still queued behind it.
       std::lock_guard lk(conn.mu);
+      dropped.add(1 + conn.outbound.size());
+      conn.outbound.clear();
       conn.closed = true;
       conn.cv.notify_all();
       break;
@@ -356,6 +362,8 @@ void Server::processGroup(std::vector<Job>& group) {
   std::vector<DiagList> imgDiags(group.size());
   std::vector<size_t> sliceBegin(group.size(), 0);
   std::vector<corpus::Vuc> allVucs;
+  std::vector<uint32_t> allVarOf;
+  size_t numVars = 0;
   for (size_t i = 0; i < group.size(); ++i) {
     const Job& job = group[i];
     if (auto hit = cache_.lookup(job.payload)) {
@@ -388,21 +396,28 @@ void Server::processGroup(std::vector<Job>& group) {
       sliceBegin[i] = allVucs.size();
       allVucs.insert(allVucs.end(), preps[i]->vucs().begin(),
                      preps[i]->vucs().end());
+      // Request-wide variable ids become group-wide by a running offset, so
+      // no two requests' variables share a vote.
+      for (const uint32_t v : preps[i]->varOf()) {
+        allVarOf.push_back(static_cast<uint32_t>(numVars + v));
+      }
+      numVars += preps[i]->numVars();
     } catch (const std::exception& e) {
       preps[i].reset();
       replies[i] = errorFrame(ErrorCode::kInternal, e.what());
     }
   }
 
-  // Phase 2: ONE batched predict over every miss's VUCs — queued work from
-  // different requests shares batch lanes here. Per-sample accumulation
-  // order is preserved by the kernels, so each request's slice is
-  // bit-identical to predicting that request alone, as cati-infer does
-  // (DESIGN.md §7/§10).
+  // Phase 2: ONE routed predict over every miss's VUCs — queued work from
+  // different requests shares batch lanes in each wave. Votes are per
+  // variable and per-sample accumulation order is preserved by the kernels,
+  // so each request's slice is bit-identical to predicting that request
+  // alone, as cati-infer does (DESIGN.md §7/§10).
   std::vector<StageProbs> probs;
   if (!allVucs.empty()) {
     coalescedVucs.add(allVucs.size());
-    probs = engine_.predictVucs(allVucs, &pool_, cfg_.batch);
+    probs = engine_.predictRouted(allVucs, allVarOf, numVars, &pool_,
+                                  cfg_.batch);
   }
 
   // Phase 3 per miss: vote, render, cache, reply.

@@ -97,6 +97,57 @@ TEST_F(AnalyzeDeadline, ExpiryGivesCleanTimeoutReportAndClearsDeadline) {
   }
 }
 
+TEST_F(AnalyzeDeadline, ExpiryInsideTheSecondRoutedWaveIsTheSameTimeout) {
+  // The routed predict runs Stage 1 over every VUC, then each variable's
+  // voted second-level stage in wave 2 (and a third-level one in wave 3;
+  // the micro model votes no variable that deep). At batch 1 and one worker
+  // every VUC forward is one deadline check, so the checks of each wave
+  // follow from the per-stage sample counters of an uncut run. The budget
+  // is generous, so only the probe expires it. A deadline that fires in a
+  // later wave still cuts the binary's one predict: the same TIMEOUT
+  // report, and no deadline left on the engine.
+  const loader::Image img = microImage();
+  par::ThreadPool pool(1);
+  Engine engine = testsupport::cachedMicroEngine();
+  const AnalyzeResult ref = analyzeImage(engine, img, &pool, 1);
+  const size_t fns = img.boundaries.size();  // all well-formed
+  const auto samples = [](const char* stage) {
+    return counterValue(("engine.infer.samples." + std::string(stage)).c_str());
+  };
+  const uint64_t wave1 = samples("Stage1");
+  const uint64_t wave2 = samples("Stage2-1") + samples("Stage2-2");
+  ASSERT_GT(wave1, 0U);
+  ASSERT_GT(wave2, 1U);
+
+  for (const uint64_t check : {wave1 + 1, wave1 + wave2}) {
+    const std::string spec = "fail@engine.deadline:" + std::to_string(check);
+    SCOPED_TRACE(spec);
+    obs::Registry::global().reset();
+    fault::configureForTest(spec);
+    AnalyzeOptions opts;
+    opts.timeoutMs = 600000;
+    const AnalyzeResult res = analyzeImage(engine, img, &pool, 1, opts);
+    fault::configureForTest("");
+
+    EXPECT_EQ(res.report, "\n0 variables typed; TIMEOUT after 600000ms: 0/" +
+                              std::to_string(fns) + " functions analyzed\n");
+    EXPECT_EQ(counterValue("engine.analyze.timeout"), 1U);
+    EXPECT_EQ(counterValue("engine.analyze.degraded"), 0U);
+    // Wave 1 completed; the cut came at the check'th forward.
+    EXPECT_EQ(samples("Stage1"), wave1);
+    EXPECT_EQ(samples("Stage1") + samples("Stage2-1") + samples("Stage2-2"),
+              check - 1);
+
+    // With the deadline cleared the probe is never consulted, so an armed
+    // probe leaves the next (unbudgeted) analysis untouched.
+    fault::configureForTest("fail@engine.deadline:1");
+    const AnalyzeResult again = analyzeImage(engine, img, &pool, 1);
+    fault::configureForTest("");
+    EXPECT_EQ(again.report, ref.report);
+    EXPECT_EQ(rendered(again.diags), rendered(ref.diags));
+  }
+}
+
 TEST_F(AnalyzeDeadline, PreparedRequestLetsTimeoutThrough) {
   // A deadline already in the past: the first prepareFunction throws, and
   // the per-function isolation must not record that as a degraded function.

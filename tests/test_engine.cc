@@ -3,8 +3,10 @@
 // occlusion ε (formula 5), model persistence and the end-to-end
 // stripped-binary path.
 //
-// All tests share one tiny trained engine (a fixture), keeping the suite
-// fast on the 1-core machine.
+// All tests share one tiny trained engine (a fixture). ctest runs every
+// test in its own process, so the engine lives in the test disk cache
+// (support/micro_model.h, RESOURCE_LOCK engine_test_cache): the first
+// process trains, the others load it.
 #include "cati/engine.h"
 
 #include <gtest/gtest.h>
@@ -15,6 +17,7 @@
 
 #include "loader/image.h"
 #include "serve/analysis.h"
+#include "support/micro_model.h"
 #include "synth/synth.h"
 
 namespace cati {
@@ -26,15 +29,18 @@ class EngineTest : public ::testing::Test {
     const auto bins =
         synth::generateCorpus(4, 10, synth::Dialect::Gcc, /*seed=*/21);
     train_ = new corpus::Dataset(corpus::extractAll(bins, 10));
-    EngineConfig cfg;
-    cfg.epochs = 2;
-    cfg.maxTrainPerStage = 3000;
-    cfg.fcHidden = 32;
-    cfg.conv1 = 16;
-    cfg.conv2 = 16;
-    cfg.w2v.epochs = 1;
-    engine_ = new Engine(cfg);
-    engine_->train(*train_);
+    engine_ = new Engine(testsupport::cachedEngine("engine_test", 1, [] {
+      EngineConfig cfg;
+      cfg.epochs = 2;
+      cfg.maxTrainPerStage = 3000;
+      cfg.fcHidden = 32;
+      cfg.conv1 = 16;
+      cfg.conv2 = 16;
+      cfg.w2v.epochs = 1;
+      Engine e(cfg);
+      e.train(*train_);
+      return testsupport::serializeEngine(e);
+    }));
   }
   static void TearDownTestSuite() {
     delete engine_;

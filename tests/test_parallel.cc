@@ -8,9 +8,12 @@
 // Also run under -DCATI_SANITIZE=thread in CI, where these same tests double
 // as the TSan workload for the thread pool and every pooled pipeline stage.
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <cstdlib>
 #include <numeric>
+#include <optional>
+#include <span>
 #include <sstream>
 #include <stdexcept>
 #include <string>
@@ -381,6 +384,197 @@ TEST(BatchInvariance, PredictionsIdenticalAcrossBatchSizes) {
   const auto serial = inferMetrics(1, 8);
   EXPECT_EQ(inferMetrics(5, 8), serial)
       << "inference metrics differ across job counts at batch=8";
+}
+
+// --- routed stage evaluation ≡ eager (DESIGN.md §7/§10) ---------------------
+
+/// Per variable of `varOf`, which stages its eager all-stage vote routes
+/// through: the stages predictRouted must evaluate for its VUCs.
+std::vector<std::array<bool, kNumStages>> votedPaths(
+    const Engine& engine, const std::vector<uint32_t>& varOf, size_t numVars,
+    const std::vector<StageProbs>& eager) {
+  std::vector<std::vector<StageProbs>> byVar(numVars);
+  for (size_t i = 0; i < varOf.size(); ++i) byVar[varOf[i]].push_back(eager[i]);
+  std::vector<std::array<bool, kNumStages>> onPath(numVars);
+  for (size_t v = 0; v < numVars; ++v) {
+    if (byVar[v].empty()) continue;
+    const StagePath path = pathOf(engine.voteVariable(byVar[v]).finalType);
+    for (int k = 0; k < path.length; ++k) {
+      onPath[v][static_cast<size_t>(path.stages[static_cast<size_t>(k)])] =
+          true;
+    }
+  }
+  return onPath;
+}
+
+TEST(RoutedInvariance, EvaluatedStagesAreEagerBitsAcrossJobsAndBatch) {
+  // Every stage predictRouted evaluates is bit-identical to predictVucs at
+  // that stage, the evaluated stages are exactly the VUC's variable's voted
+  // path, and every other stage is empty — for fp32 and int8, at any job
+  // count and batch size. Two groupings: the dataset's variables, and one
+  // variable per VUC (routes follow each VUC's own argmax, which reaches
+  // more of the tree on the micro model).
+  Engine fp32 = testsupport::cachedMicroEngine();
+  Engine int8 = fp32.quantize();
+  const corpus::Dataset ds = testsupport::microDataset();
+  ASSERT_FALSE(ds.vucs.empty());
+  std::vector<uint32_t> datasetVars;
+  std::vector<uint32_t> vucVars;
+  for (const corpus::Vuc& v : ds.vucs) {
+    datasetVars.push_back(v.varId);
+    vucVars.push_back(static_cast<uint32_t>(vucVars.size()));
+  }
+  const std::pair<const std::vector<uint32_t>*, size_t> groupings[] = {
+      {&datasetVars, ds.vars.size()}, {&vucVars, ds.vucs.size()}};
+  std::array<size_t, kNumStages> evaluated{};
+  for (Engine* engine : {&fp32, &int8}) {
+    SCOPED_TRACE(engine->quantized() ? "int8" : "fp32");
+    const std::vector<StageProbs> eager = engine->predictVucs(ds.vucs);
+    for (const auto& [varOf, numVars] : groupings) {
+      const auto onPath = votedPaths(*engine, *varOf, numVars, eager);
+      for (const int jobs : {1, 4}) {
+        par::ThreadPool pool(jobs);
+        for (const int batch : {1, 8, 32}) {
+          const std::vector<StageProbs> routed = engine->predictRouted(
+              ds.vucs, *varOf, numVars, &pool, batch);
+          ASSERT_EQ(routed.size(), eager.size());
+          for (size_t i = 0; i < routed.size(); ++i) {
+            for (size_t s = 0; s < kNumStages; ++s) {
+              const auto& got = routed[i].probs[s];
+              if (onPath[(*varOf)[i]][s]) {
+                ++evaluated[s];
+                // Exact float equality on purpose: the contract is
+                // bit-identity.
+                ASSERT_TRUE(got == eager[i].probs[s])
+                    << "vuc " << i << " stage " << s << " jobs " << jobs
+                    << " batch " << batch << " vars " << numVars;
+              } else {
+                ASSERT_TRUE(got.empty())
+                    << "vuc " << i << " stage " << s << " jobs " << jobs
+                    << " batch " << batch << " vars " << numVars;
+              }
+            }
+          }
+        }
+      }
+    }
+  }
+  // The sweep went through all three waves: Stage 1, both second-level
+  // stages and at least one third-level stage.
+  EXPECT_GT(evaluated[static_cast<size_t>(Stage::S1)], 0U);
+  EXPECT_GT(evaluated[static_cast<size_t>(Stage::S2_1)], 0U);
+  EXPECT_GT(evaluated[static_cast<size_t>(Stage::S2_2)], 0U);
+  EXPECT_GT(evaluated[static_cast<size_t>(Stage::S3_1)] +
+                evaluated[static_cast<size_t>(Stage::S3_2)] +
+                evaluated[static_cast<size_t>(Stage::S3_3)],
+            0U);
+}
+
+TEST(RoutedInvariance, WorkCountersFollowTheVotedPath) {
+  // The routed work counters of a cati-infer analysis: Stage 1 runs once
+  // per VUC, the stage forwards sum to Σ over variables of (voted path
+  // length × VUC count) and stay within three per VUC, the call records one
+  // engine.infer.batch_ns observation, and every non-timing metric is
+  // jobs-invariant.
+  Engine engine = testsupport::cachedMicroEngine();
+  loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
+  loader::strip(img);
+  obs::setEnabled(true);
+  std::optional<obs::Snapshot> ref;
+  for (const int jobs : {1, 4}) {
+    SCOPED_TRACE("jobs=" + std::to_string(jobs));
+    obs::Registry::global().reset();
+    par::ThreadPool pool(jobs);
+    const serve::AnalyzeResult res = serve::analyzeImage(engine, img, &pool, 8);
+    const obs::Snapshot snap = obs::Registry::global().snapshot();
+    uint64_t expected = 0;
+    for (const auto& vars : res.functions) {
+      for (const AnalyzedVariable& av : vars) {
+        expected += static_cast<uint64_t>(pathOf(av.type).length) * av.numVucs;
+      }
+    }
+    uint64_t forwards = 0;
+    for (int s = 0; s < kNumStages; ++s) {
+      forwards += obs::counter("engine.infer.samples." +
+                               std::string(stageName(static_cast<Stage>(s))))
+                      .value();
+    }
+    const uint64_t vucs = obs::counter("engine.infer.vucs").value();
+    ASSERT_GT(vucs, 0U);
+    EXPECT_EQ(obs::counter("engine.infer.samples.Stage1").value(), vucs);
+    EXPECT_EQ(forwards, expected);
+    EXPECT_LE(forwards, 3 * vucs);
+    bool sawBatchNs = false;
+    for (const obs::HistogramSnapshot& h : snap.histograms) {
+      if (h.name != "engine.infer.batch_ns") continue;
+      sawBatchNs = true;
+      EXPECT_EQ(h.count, 1U);
+    }
+    EXPECT_TRUE(sawBatchNs);
+    if (!ref) {
+      ref = snap.withoutTimings();
+    } else {
+      EXPECT_EQ(snap.withoutTimings(), *ref);
+    }
+  }
+  obs::setEnabled(false);
+}
+
+TEST(RoutedInvariance, MissingStageOnVotedPathDegradesOneVariable) {
+  // Routed probabilities leave the stages off each variable's path empty.
+  // Voting them all (voteVariable) throws the typed MissingStageError; a
+  // stage missing on the voted path costs finishFunction that one variable
+  // (a Warning diag), never an out-of-bounds read.
+  Engine engine = testsupport::cachedMicroEngine();
+  loader::Image img = loader::buildImage(testsupport::microBinaries().at(0));
+  loader::strip(img);
+  par::ThreadPool pool(2);
+  const serve::PreparedRequest prep(engine, img, &pool, 0.0F);
+  ASSERT_FALSE(prep.vucs().empty());
+  const std::vector<StageProbs> routed = engine.predictRouted(
+      prep.vucs(), prep.varOf(), prep.numVars(), &pool, 8);
+  const serve::AnalyzeResult ref = prep.finish(engine, routed);
+
+  // VUC 0's variable voted along a path of at most three stages, so its
+  // VUC lacks at least three of the six.
+  EXPECT_THROW(engine.voteVariable(std::span(routed).first(1)),
+               MissingStageError);
+
+  // Drop VUC 0's Stage 1 distribution (on every path), then its leaf-stage
+  // one instead: each time exactly that variable is skipped.
+  const auto& fn0 = ref.functions.at(0);
+  ASSERT_FALSE(fn0.empty());
+  size_t lastStage = 0;
+  for (size_t s = 0; s < kNumStages; ++s) {
+    if (!routed[0].probs[s].empty()) lastStage = s;
+  }
+  for (const size_t stage : {size_t{0}, lastStage}) {
+    SCOPED_TRACE("stage " + std::to_string(stage));
+    obs::setEnabled(true);
+    obs::Registry::global().reset();
+    std::vector<StageProbs> broken = routed;
+    broken[0].probs[stage].clear();
+    const serve::AnalyzeResult res = prep.finish(engine, broken);
+    obs::setEnabled(false);
+    EXPECT_EQ(obs::counter("engine.analyze.degraded").value(), 1U);
+    ASSERT_EQ(res.functions.size(), ref.functions.size());
+    EXPECT_EQ(res.functions[0].size() + 1, fn0.size());
+    for (size_t f = 1; f < ref.functions.size(); ++f) {
+      EXPECT_EQ(res.functions[f].size(), ref.functions[f].size());
+    }
+    ASSERT_EQ(res.diags.size(), ref.diags.size() + 1);
+    size_t skipped = 0;
+    for (const Diag& d : res.diags) {
+      if (d.message.find("variable skipped (degraded)") == std::string::npos) {
+        continue;
+      }
+      ++skipped;
+      EXPECT_EQ(d.severity, Severity::Warning);
+      EXPECT_NE(d.message.find("not evaluated"), std::string::npos)
+          << d.message;
+    }
+    EXPECT_EQ(skipped, 1U);
+  }
 }
 
 }  // namespace

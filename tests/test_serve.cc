@@ -13,11 +13,13 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <span>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -417,6 +419,99 @@ TEST_F(ServeTest, CoalescedPredictMatchesIsolated) {
   }
 }
 
+/// A prepared request over micro image `idx` (stripped).
+PreparedRequest microRequest(const Engine& engine, size_t idx,
+                             par::ThreadPool& pool) {
+  loader::Image img = loader::buildImage(testsupport::microBinaries().at(idx));
+  loader::strip(img);
+  return PreparedRequest(engine, std::move(img), &pool, 0.0F);
+}
+
+TEST_F(ServeTest, RoutedCoalescedPredictMatchesIsolated) {
+  // The daemon's routed coalescing: two requests' VUCs in one predictRouted,
+  // the second request's variable ids shifted past the first's, give each
+  // request bit-for-bit (evaluated and empty stages alike) what predicting
+  // it alone gives — so the replies match cati-infer.
+  Engine fp32 = testsupport::cachedMicroEngine();
+  Engine int8 = fp32.quantize();
+  par::ThreadPool pool(2);
+  for (Engine* engine : {&fp32, &int8}) {
+    SCOPED_TRACE(engine->quantized() ? "int8" : "fp32");
+    const PreparedRequest a = microRequest(*engine, 0, pool);
+    const PreparedRequest b = microRequest(*engine, 1, pool);
+    ASSERT_FALSE(a.vucs().empty());
+    ASSERT_FALSE(b.vucs().empty());
+    std::vector<corpus::Vuc> vucs = a.vucs();
+    vucs.insert(vucs.end(), b.vucs().begin(), b.vucs().end());
+    std::vector<uint32_t> varOf = a.varOf();
+    for (const uint32_t v : b.varOf()) {
+      varOf.push_back(static_cast<uint32_t>(a.numVars() + v));
+    }
+    for (const int batch : {1, 8}) {
+      const auto coalesced = engine->predictRouted(
+          vucs, varOf, a.numVars() + b.numVars(), &pool, batch);
+      const auto aloneA = engine->predictRouted(a.vucs(), a.varOf(),
+                                                a.numVars(), &pool, batch);
+      const auto aloneB = engine->predictRouted(b.vucs(), b.varOf(),
+                                                b.numVars(), &pool, batch);
+      ASSERT_EQ(coalesced.size(), aloneA.size() + aloneB.size());
+      const size_t cut = aloneA.size();
+      for (size_t i = 0; i < coalesced.size(); ++i) {
+        const StageProbs& alone = i < cut ? aloneA[i] : aloneB[i - cut];
+        ASSERT_TRUE(coalesced[i].probs == alone.probs)
+            << "vuc " << i << " batch " << batch;
+      }
+      const std::span<const StageProbs> all(coalesced);
+      EXPECT_EQ(a.finish(*engine, all.first(cut)).report,
+                a.finish(*engine, aloneA).report);
+      EXPECT_EQ(b.finish(*engine, all.subspan(cut)).report,
+                b.finish(*engine, aloneB).report);
+    }
+  }
+}
+
+TEST_F(ServeTest, RoutedFinishMatchesEager) {
+  // finishFunction reads only each variable's voted path, so routed and
+  // eager (all six stages) probabilities give identical typed variables,
+  // confidences bit for bit, and identical reports.
+  Engine fp32 = testsupport::cachedMicroEngine();
+  Engine int8 = fp32.quantize();
+  par::ThreadPool pool(2);
+  for (Engine* engine : {&fp32, &int8}) {
+    SCOPED_TRACE(engine->quantized() ? "int8" : "fp32");
+    for (const size_t idx : {size_t{0}, size_t{1}}) {
+      const PreparedRequest prep = microRequest(*engine, idx, pool);
+      const AnalyzeResult eager =
+          prep.finish(*engine, engine->predictVucs(prep.vucs(), &pool));
+      const AnalyzeResult routed = prep.finish(
+          *engine, engine->predictRouted(prep.vucs(), prep.varOf(),
+                                         prep.numVars(), &pool));
+      EXPECT_EQ(routed.report, eager.report);
+      ASSERT_EQ(routed.functions.size(), eager.functions.size());
+      size_t vars = 0;
+      for (size_t f = 0; f < eager.functions.size(); ++f) {
+        const auto& e = eager.functions[f];
+        const auto& r = routed.functions[f];
+        ASSERT_EQ(r.size(), e.size()) << "function " << f;
+        for (size_t v = 0; v < e.size(); ++v, ++vars) {
+          EXPECT_EQ(r[v].location.offset, e[v].location.offset);
+          EXPECT_EQ(r[v].location.rbpFrame, e[v].location.rbpFrame);
+          EXPECT_EQ(r[v].type, e[v].type);
+          EXPECT_EQ(r[v].numVucs, e[v].numVucs);
+          EXPECT_EQ(std::bit_cast<uint32_t>(r[v].confidence),
+                    std::bit_cast<uint32_t>(e[v].confidence));
+        }
+      }
+      EXPECT_GT(vars, 0U);
+      std::ostringstream de;
+      std::ostringstream dr;
+      print(eager.diags, de);
+      print(routed.diags, dr);
+      EXPECT_EQ(dr.str(), de.str());
+    }
+  }
+}
+
 // --- golden serve report ----------------------------------------------------
 
 TEST_F(ServeTest, GoldenServeReport) {
@@ -666,6 +761,43 @@ TEST_F(ServeTest, DisconnectMidRequestDoesNotStallTheLoop) {
   const uint64_t dropped0 = counterValue("serve.conn.dropped_replies");
   server.pauseBatchForTest(false);
   // The loop processes the orphaned job, drops the reply, and keeps serving.
+  ASSERT_TRUE(waitFor([&] {
+    return counterValue("serve.conn.dropped_replies") - dropped0 >= 1;
+  }));
+
+  Client alive(server.bound());
+  const Expected got = decodeReport(alive.analyze(req));
+  EXPECT_EQ(got.report, offlineExpected(offline, img).report);
+  server.stop();
+}
+
+TEST_F(ServeTest, ReplyQueuedBeforeDisconnectCountsAsDropped) {
+  // The other order of a mid-request disconnect: the reply is already
+  // queued when the peer vanishes, so the writer's send fails. That reply
+  // counts as dropped too, and the daemon keeps serving.
+  Engine engine = testsupport::cachedMicroEngine();
+  Engine offline = testsupport::cachedMicroEngine();
+  ServerConfig cfg;
+  cfg.listen = unixAddr();
+  Server server(engine, cfg);
+  server.start();
+  server.pauseWritersForTest(true);
+
+  const std::string img = microImageBytes(0, true);
+  AnalyzeRequest req;
+  req.image = img;
+
+  const uint64_t replies0 = counterValue("serve.replies");
+  const uint64_t dropped0 = counterValue("serve.conn.dropped_replies");
+  {
+    Client doomed(server.bound());
+    doomed.send(MsgType::kAnalyze, encodeAnalyzeRequest(req));
+    ASSERT_TRUE(
+        waitFor([&] { return counterValue("serve.replies") - replies0 >= 1; }));
+    EXPECT_EQ(counterValue("serve.conn.dropped_replies"), dropped0);
+    doomed.close();  // vanish with the reply queued but unsent
+  }
+  server.pauseWritersForTest(false);
   ASSERT_TRUE(waitFor([&] {
     return counterValue("serve.conn.dropped_replies") - dropped0 >= 1;
   }));
