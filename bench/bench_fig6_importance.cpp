@@ -78,9 +78,8 @@ int main() {
   }
   eval::Table table(header);
   for (int k = 0; k < positions; ++k) {
-    std::vector<std::string> row = {
-        (k == positions / 2 ? ">" : "") +
-        std::to_string(k - positions / 2)};
+    const std::string offset = std::to_string(k - positions / 2);
+    std::vector<std::string> row = {(k == positions / 2 ? ">" : "") + offset};
     for (int t = 0; t < kThresholds; ++t) {
       char buf[16];
       std::snprintf(buf, sizeof buf, "%.2f%%",

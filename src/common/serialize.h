@@ -122,7 +122,11 @@ class Writer {
 
 class Reader {
  public:
-  explicit Reader(std::istream& is) : is_(is) {}
+  /// `maxBytes` caps every length prefix. A reader over an in-memory buffer
+  /// passes the buffer's size, so no prefix can allocate more than the
+  /// input could hold.
+  explicit Reader(std::istream& is, uint64_t maxBytes = 1ULL << 34)
+      : is_(is), maxBytes_(maxBytes) {}
 
   template <typename T>
     requires std::is_trivially_copyable_v<T>
@@ -161,11 +165,11 @@ class Reader {
   }
   // Rejects absurd length prefixes before allocating, so a corrupt file
   // fails with a clear error instead of bad_alloc.
-  static void guardSize(uint64_t bytes) {
-    constexpr uint64_t kMax = 1ULL << 34;  // 16 GiB
-    if (bytes > kMax) throw CorruptError("serialize: corrupt length");
+  void guardSize(uint64_t bytes) const {
+    if (bytes > maxBytes_) throw CorruptError("serialize: corrupt length");
   }
   std::istream& is_;
+  uint64_t maxBytes_;  ///< 16 GiB unless the caller knows the input size
 };
 
 /// Writes a 4-byte magic + version header; readers verify both.

@@ -10,6 +10,7 @@
 #include <cstring>
 #include <filesystem>
 #include <stdexcept>
+#include <utility>
 
 namespace cati::sock {
 
@@ -93,65 +94,64 @@ void Fd::reset() {
   }
 }
 
-void Fd::shutdownNow() {
-  if (fd_ >= 0) ::shutdown(fd_, SHUT_RDWR);
-}
-
 namespace {
 
-sockaddr_un unixSockaddr(const Address& a) {
-  sockaddr_un sa{};
-  sa.sun_family = AF_UNIX;
-  std::memcpy(sa.sun_path, a.path.c_str(), a.path.size() + 1);
-  return sa;
-}
+/// A stream socket for `a`'s family plus the address to bind or connect it
+/// to.
+struct Endpoint {
+  union {
+    sockaddr any;
+    sockaddr_un un;
+    sockaddr_in in;
+  } sa{};
+  socklen_t len = 0;
+  Fd fd;
+};
 
-sockaddr_in tcpSockaddr(const Address& a) {
-  sockaddr_in sa{};
-  sa.sin_family = AF_INET;
-  sa.sin_port = htons(a.port);
-  if (inet_pton(AF_INET, a.host.c_str(), &sa.sin_addr) != 1) {
-    throw IoError("bad tcp host: " + a.host);
+Endpoint endpoint(const Address& a, int type) {
+  Endpoint e;
+  if (a.kind == Address::Kind::kUnix) {
+    e.sa.un.sun_family = AF_UNIX;
+    std::memcpy(e.sa.un.sun_path, a.path.c_str(), a.path.size() + 1);
+    e.len = sizeof(e.sa.un);
+  } else {
+    e.sa.in.sin_family = AF_INET;
+    e.sa.in.sin_port = htons(a.port);
+    if (inet_pton(AF_INET, a.host.c_str(), &e.sa.in.sin_addr) != 1) {
+      throw IoError("bad tcp host: " + a.host);
+    }
+    e.len = sizeof(e.sa.in);
   }
-  return sa;
+  e.fd = Fd(::socket(e.sa.any.sa_family, type, 0));
+  if (!e.fd.valid()) throwErrno("socket(" + a.str() + ")");
+  return e;
 }
 
 }  // namespace
 
 Listener Listener::open(const Address& addr) {
-  Listener l;
-  l.bound_ = addr;
-  if (addr.kind == Address::Kind::kUnix) {
-    // Sweep a stale socket file from a previous daemon; bind would fail on
-    // it. A *live* daemon on the same path loses its socket — same contract
-    // as every pid-file-less unix daemon.
-    ::unlink(addr.path.c_str());
-    l.fd_ = Fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!l.fd_.valid()) throwErrno("socket(" + addr.str() + ")");
-    const sockaddr_un sa = unixSockaddr(addr);
-    if (::bind(l.fd_.get(), reinterpret_cast<const sockaddr*>(&sa),
-               sizeof(sa)) != 0) {
-      throwErrno("bind(" + addr.str() + ")");
-    }
-  } else {
-    l.fd_ = Fd(::socket(AF_INET, SOCK_STREAM, 0));
-    if (!l.fd_.valid()) throwErrno("socket(" + addr.str() + ")");
-    const int one = 1;
-    ::setsockopt(l.fd_.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-    sockaddr_in sa = tcpSockaddr(addr);
-    if (::bind(l.fd_.get(), reinterpret_cast<const sockaddr*>(&sa),
-               sizeof(sa)) != 0) {
-      throwErrno("bind(" + addr.str() + ")");
-    }
-    socklen_t len = sizeof(sa);
-    if (::getsockname(l.fd_.get(), reinterpret_cast<sockaddr*>(&sa), &len) ==
-        0) {
-      l.bound_.port = ntohs(sa.sin_port);
-    }
+  const bool tcp = addr.kind == Address::Kind::kTcp;
+  // Sweep a stale socket file from a previous daemon; bind would fail on
+  // it. A *live* daemon on the same path loses its socket — same contract
+  // as every pid-file-less unix daemon.
+  if (!tcp) ::unlink(addr.path.c_str());
+  Endpoint e = endpoint(addr, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC);
+  const int one = 1;
+  if (tcp) {
+    ::setsockopt(e.fd.get(), SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   }
-  if (::listen(l.fd_.get(), SOMAXCONN) != 0) {
+  if (::bind(e.fd.get(), &e.sa.any, e.len) != 0) {
+    throwErrno("bind(" + addr.str() + ")");
+  }
+  if (::listen(e.fd.get(), SOMAXCONN) != 0) {
     throwErrno("listen(" + addr.str() + ")");
   }
+  Listener l;
+  l.bound_ = addr;
+  if (tcp && ::getsockname(e.fd.get(), &e.sa.any, &e.len) == 0) {
+    l.bound_.port = ntohs(e.sa.in.sin_port);
+  }
+  l.fd_ = std::move(e.fd);
   return l;
 }
 
@@ -161,36 +161,12 @@ Listener::~Listener() {
   }
 }
 
-Fd Listener::accept() {
-  for (;;) {
-    const int fd = ::accept(fd_.get(), nullptr, nullptr);
-    if (fd >= 0) return Fd(fd);
-    if (errno == EINTR) continue;
-    return Fd();  // shutdownNow() or a fatal error: stop accepting
-  }
-}
-
-void Listener::shutdownNow() { fd_.shutdownNow(); }
-
 Fd connect(const Address& addr) {
-  if (addr.kind == Address::Kind::kUnix) {
-    Fd fd(::socket(AF_UNIX, SOCK_STREAM, 0));
-    if (!fd.valid()) throwErrno("socket(" + addr.str() + ")");
-    const sockaddr_un sa = unixSockaddr(addr);
-    if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&sa),
-                  sizeof(sa)) != 0) {
-      throwErrno("connect(" + addr.str() + ")");
-    }
-    return fd;
-  }
-  Fd fd(::socket(AF_INET, SOCK_STREAM, 0));
-  if (!fd.valid()) throwErrno("socket(" + addr.str() + ")");
-  const sockaddr_in sa = tcpSockaddr(addr);
-  if (::connect(fd.get(), reinterpret_cast<const sockaddr*>(&sa),
-                sizeof(sa)) != 0) {
+  Endpoint e = endpoint(addr, SOCK_STREAM);
+  if (::connect(e.fd.get(), &e.sa.any, e.len) != 0) {
     throwErrno("connect(" + addr.str() + ")");
   }
-  return fd;
+  return std::move(e.fd);
 }
 
 bool sendAll(int fd, const void* data, size_t n) {
@@ -206,21 +182,6 @@ bool sendAll(int fd, const void* data, size_t n) {
     n -= static_cast<size_t>(w);
   }
   return true;
-}
-
-RecvStatus recvExact(int fd, void* data, size_t n) {
-  auto* p = static_cast<uint8_t*>(data);
-  size_t got = 0;
-  while (got < n) {
-    const ssize_t r = ::recv(fd, p + got, n - got, 0);
-    if (r < 0) {
-      if (errno == EINTR) continue;
-      return got == 0 ? RecvStatus::kEof : RecvStatus::kShort;
-    }
-    if (r == 0) return got == 0 ? RecvStatus::kEof : RecvStatus::kShort;
-    got += static_cast<size_t>(r);
-  }
-  return RecvStatus::kOk;
 }
 
 }  // namespace cati::sock

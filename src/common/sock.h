@@ -1,8 +1,8 @@
 // Minimal stream-socket helpers for cati-serve (DESIGN.md §10): address
-// parsing ("unix:/path" or "tcp:[HOST:]PORT"), an RAII fd, a listener that
-// can be unblocked from another thread, and EINTR-safe full send/recv.
+// parsing ("unix:/path" or "tcp:[HOST:]PORT"), an RAII fd, a non-blocking
+// listener for a poll() loop, and an EINTR-safe full send.
 //
-// Error model: environment failures (bind, listen, accept storms) throw
+// Error model: environment failures (socket, bind, listen, connect) throw
 // cati::IoError; per-connection I/O failures are returned as status codes
 // because a peer hanging up is normal serving traffic, not an error the
 // daemon should unwind on.
@@ -52,17 +52,15 @@ class Fd {
   int get() const { return fd_; }
   bool valid() const { return fd_ >= 0; }
   void reset();
-  /// shutdown(2) both directions — unblocks a thread parked in recv/send on
-  /// this fd without racing the close (the fd stays allocated).
-  void shutdownNow();
 
  private:
   int fd_ = -1;
 };
 
-/// A bound, listening stream socket. For unix addresses a stale socket file
-/// at the path is unlinked before bind (the previous daemon's debris), and
-/// the file is unlinked again on destruction.
+/// A bound, listening, non-blocking stream socket: poll its fd for POLLIN,
+/// then accept4(2) until EAGAIN. For unix addresses a stale socket file at
+/// the path is unlinked before bind (the previous daemon's debris), and the
+/// file is unlinked again on destruction.
 class Listener {
  public:
   /// Binds and listens; throws cati::IoError naming the address on failure.
@@ -72,16 +70,11 @@ class Listener {
   Listener& operator=(Listener&&) = default;
   ~Listener();
 
-  /// Blocks for one connection. Returns an invalid Fd once shutdownNow()
-  /// was called (or on a fatal accept error).
-  Fd accept();
+  int fd() const { return fd_.get(); }
 
   /// The actual bound address — for tcp:0 this carries the kernel-assigned
   /// ephemeral port, so tests can connect to what they got.
   const Address& bound() const { return bound_; }
-
-  /// Unblocks accept() from another thread; accept() then returns invalid.
-  void shutdownNow();
 
  private:
   Listener() = default;
@@ -95,16 +88,5 @@ Fd connect(const Address& addr);
 /// Sends exactly `n` bytes (EINTR-safe, MSG_NOSIGNAL so a vanished peer is
 /// a false return, not a SIGPIPE). False on any error.
 bool sendAll(int fd, const void* data, size_t n);
-
-/// Receive status for recvExact.
-enum class RecvStatus : uint8_t {
-  kOk,       ///< all n bytes read
-  kEof,      ///< clean close before the FIRST byte
-  kShort,    ///< peer closed (or errored) mid-message
-};
-
-/// Reads exactly `n` bytes. kEof only when the connection closed cleanly at
-/// a message boundary (zero bytes read); a mid-message close is kShort.
-RecvStatus recvExact(int fd, void* data, size_t n);
 
 }  // namespace cati::sock

@@ -330,10 +330,22 @@ absMaxAvx512(const float* x, int n) {
   const __m512 signMask = _mm512_castsi512_ps(_mm512_set1_epi32(0x7fffffff));
   __m512 vm = _mm512_setzero_ps();
   int i = 0;
+  // GCC's unmasked AVX-512 forms (and _mm512_reduce_max_ps) pass an
+  // uninitialized pass-through register and trip -Wmaybe-uninitialized; the
+  // all-ones _maskz_ forms compute the same lanes from a zeroed source.
   for (; i + 16 <= n; i += 16) {
-    vm = _mm512_max_ps(vm, _mm512_and_ps(_mm512_loadu_ps(x + i), signMask));
+    vm = _mm512_maskz_max_ps(0xFFFF, vm,
+                             _mm512_and_ps(_mm512_loadu_ps(x + i), signMask));
   }
-  float m = _mm512_reduce_max_ps(vm);
+  // The reduce_max_ps shuffle tree, spelled out in the same order.
+  const __m256 v8 = _mm256_max_ps(_mm512_extractf32x8_ps(vm, 1),
+                                  _mm512_extractf32x8_ps(vm, 0));
+  const __m128 v4 = _mm_max_ps(_mm256_extractf128_ps(v8, 1),
+                               _mm256_castps256_ps128(v8));
+  const __m128 v2 =
+      _mm_max_ps(v4, _mm_shuffle_ps(v4, v4, _MM_SHUFFLE(1, 0, 3, 2)));
+  float m = _mm_cvtss_f32(
+      _mm_max_ps(v2, _mm_shuffle_ps(v2, v2, _MM_SHUFFLE(0, 1, 0, 1))));
   for (; i < n; ++i) {
     const float a = std::fabs(x[i]);
     if (a > m) m = a;
@@ -347,11 +359,12 @@ quantizeAvx512(const float* x, int8_t* q, int n, float invScale) {
   const __m512i vmin = _mm512_set1_epi32(-127);
   int i = 0;
   for (; i + 16 <= n; i += 16) {
-    __m512i vi = _mm512_cvtps_epi32(_mm512_mul_ps(_mm512_loadu_ps(x + i), vs));
+    __m512i vi = _mm512_maskz_cvtps_epi32(
+        0xFFFF, _mm512_mul_ps(_mm512_loadu_ps(x + i), vs));
     // cvtsepi32_epi8 saturates at [-128,127]; only the -127 floor needs help.
-    vi = _mm512_max_epi32(vi, vmin);
+    vi = _mm512_maskz_max_epi32(0xFFFF, vi, vmin);
     _mm_storeu_si128(reinterpret_cast<__m128i*>(q + i),
-                     _mm512_cvtsepi32_epi8(vi));
+                     _mm512_maskz_cvtsepi32_epi8(0xFFFF, vi));
   }
   for (; i < n; ++i) q[i] = quantizeOne(x[i], invScale);
 }
@@ -374,7 +387,7 @@ qgemvAvx512(const int8_t* w, const int32_t* rowSum, const int8_t* x,
       vdot = _mm512_dpbusd_epi32(vdot, xb, wb);
     }
     const __m512i rs = _mm512_loadu_si512(rowSum + ob);
-    vdot = _mm512_sub_epi32(vdot, _mm512_slli_epi32(rs, 7));
+    vdot = _mm512_sub_epi32(vdot, _mm512_maskz_slli_epi32(0xFFFF, rs, 7));
     const __m512i va = _mm512_loadu_si512(acc + ob);
     _mm512_storeu_si512(acc + ob, _mm512_add_epi32(va, vdot));
   }

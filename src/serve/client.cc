@@ -14,15 +14,11 @@ void Client::send(MsgType type, std::string_view payload) {
 Frame Client::call(MsgType type, std::string_view payload) {
   send(type, payload);
   Frame reply;
-  switch (recv(reply)) {
-    case ReadStatus::kOk:
-      return reply;
-    case ReadStatus::kEof:
-      throw IoError("serve client: connection closed before reply");
-    case ReadStatus::kBad:
-      throw IoError("serve client: malformed reply frame");
-  }
-  throw IoError("serve client: unreachable");
+  const ReadStatus st = recv(reply);
+  if (st == ReadStatus::kOk) return reply;
+  throw IoError(st == ReadStatus::kEof
+                    ? "serve client: connection closed before reply"
+                    : "serve client: malformed reply frame");
 }
 
 std::string Client::metricsJson() {

@@ -1,7 +1,12 @@
 #include "serve/protocol.h"
 
+#include <sys/socket.h>
+
+#include <algorithm>
+#include <cerrno>
 #include <cstring>
 #include <sstream>
+#include <utility>
 
 #include "common/serialize.h"
 
@@ -13,6 +18,36 @@ namespace {
 /// three explicit fields (not a packed struct) so there is no padding to
 /// reason about.
 constexpr size_t kHeaderSize = sizeof(uint32_t) * 2 + sizeof(uint64_t);
+
+/// The one frame check, behind readFrame and FrameDecoder: parses the frame
+/// at the front of `buf`. `need` is the frame's length on kOk; on kNeedMore
+/// it is the header's until that is in, then the whole frame's, whose
+/// length is bounded before anyone allocates it.
+ReadStatus parseFrame(std::string_view buf, Frame& out, size_t& need) {
+  need = kHeaderSize;
+  if (buf.size() < kHeaderSize) return ReadStatus::kNeedMore;
+  uint32_t magic = 0;
+  uint32_t typeRaw = 0;
+  uint64_t size = 0;
+  std::memcpy(&magic, buf.data(), sizeof(magic));
+  std::memcpy(&typeRaw, buf.data() + sizeof(magic), sizeof(typeRaw));
+  std::memcpy(&size, buf.data() + sizeof(magic) + sizeof(typeRaw),
+              sizeof(size));
+  if (magic != kFrameMagic || size > kMaxFramePayload) {
+    return ReadStatus::kBad;
+  }
+  need = kHeaderSize + size + sizeof(uint32_t);
+  if (buf.size() < need) return ReadStatus::kNeedMore;
+  const std::string_view payload = buf.substr(kHeaderSize, size);
+  uint32_t stored = 0;
+  std::memcpy(&stored, buf.data() + kHeaderSize + size, sizeof(stored));
+  if (io::crc32(payload.data(), payload.size()) != stored) {
+    return ReadStatus::kBad;
+  }
+  out.type = static_cast<MsgType>(typeRaw);
+  out.payload = std::string(payload);
+  return ReadStatus::kOk;
+}
 
 }  // namespace
 
@@ -35,39 +70,33 @@ std::string encodeFrame(MsgType type, std::string_view payload) {
 }
 
 ReadStatus readFrame(int fd, Frame& out) {
-  char header[kHeaderSize];
-  switch (sock::recvExact(fd, header, sizeof(header))) {
-    case sock::RecvStatus::kOk:
-      break;
-    case sock::RecvStatus::kEof:
-      return ReadStatus::kEof;
-    case sock::RecvStatus::kShort:
-      return ReadStatus::kBad;
+  std::string buf;
+  size_t need = kHeaderSize;
+  for (;;) {
+    // Read up to `need`, never past this frame, growing at most
+    // geometrically: a length field that lies costs memory in proportion
+    // to the bytes that really arrive.
+    size_t have = buf.size();
+    buf.resize(std::min(need, have + std::max(have, kHeaderSize)));
+    while (have < buf.size()) {
+      const ssize_t got = ::recv(fd, buf.data() + have, buf.size() - have, 0);
+      if (got < 0 && errno == EINTR) continue;
+      if (got <= 0) return have == 0 ? ReadStatus::kEof : ReadStatus::kBad;
+      have += static_cast<size_t>(got);
+    }
+    const ReadStatus st = parseFrame(buf, out, need);
+    if (st != ReadStatus::kNeedMore) return st;
   }
-  uint32_t magic = 0;
-  uint32_t typeRaw = 0;
-  uint64_t size = 0;
-  std::memcpy(&magic, header, sizeof(magic));
-  std::memcpy(&typeRaw, header + sizeof(magic), sizeof(typeRaw));
-  std::memcpy(&size, header + sizeof(magic) + sizeof(typeRaw), sizeof(size));
-  if (magic != kFrameMagic || size > kMaxFramePayload) {
-    return ReadStatus::kBad;
-  }
-  std::string payload(size, '\0');
-  if (size > 0 &&
-      sock::recvExact(fd, payload.data(), size) != sock::RecvStatus::kOk) {
-    return ReadStatus::kBad;
-  }
-  uint32_t stored = 0;
-  if (sock::recvExact(fd, &stored, sizeof(stored)) != sock::RecvStatus::kOk) {
-    return ReadStatus::kBad;
-  }
-  if (io::crc32(payload.data(), payload.size()) != stored) {
-    return ReadStatus::kBad;
-  }
-  out.type = static_cast<MsgType>(typeRaw);
-  out.payload = std::move(payload);
-  return ReadStatus::kOk;
+}
+
+ReadStatus FrameDecoder::next(Frame& out) {
+  size_t need = 0;
+  const ReadStatus st =
+      parseFrame(std::string_view(buf_).substr(used_), out, need);
+  if (st == ReadStatus::kOk) used_ += need;
+  // Compact once per read, not once per frame.
+  if (st == ReadStatus::kNeedMore) buf_.erase(0, std::exchange(used_, 0));
+  return st;
 }
 
 // --- payload codecs ---------------------------------------------------------
@@ -90,7 +119,7 @@ template <typename Fn>
 auto decodePayload(const std::string& payload, uint32_t version,
                    const char* what, Fn&& body) {
   std::istringstream is(payload);
-  io::Reader r(is);
+  io::Reader r(is, payload.size());
   if (r.pod<uint32_t>() != version) {
     throw CorruptError(std::string(what) + ": unsupported version");
   }
@@ -148,7 +177,7 @@ std::string encodeErrorReply(const ErrorReply& rep) {
 
 ErrorReply decodeErrorReply(const std::string& payload) {
   std::istringstream is(payload);
-  io::Reader r(is);
+  io::Reader r(is, payload.size());
   ErrorReply rep;
   rep.code = static_cast<ErrorCode>(r.pod<uint32_t>());
   rep.message = r.str();

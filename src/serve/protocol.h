@@ -15,7 +15,7 @@
 //
 // Message flow is client-driven: every request frame gets exactly one reply
 // frame. Analyze replies on one connection come back in request order;
-// kPing/kMetrics are answered inline by the connection reader and may
+// kPing/kMetrics are answered inline by the daemon's I/O thread and may
 // overtake in-flight analyze work (they exist for health checks).
 #pragma once
 
@@ -57,14 +57,29 @@ struct Frame {
 std::string encodeFrame(MsgType type, std::string_view payload);
 
 enum class ReadStatus : uint8_t {
-  kOk,   ///< `out` holds one well-formed frame
-  kEof,  ///< peer closed cleanly between frames
-  kBad,  ///< malformed frame or mid-frame disconnect; stream is unusable
+  kOk,        ///< `out` holds one well-formed frame
+  kEof,       ///< peer closed cleanly between frames
+  kBad,       ///< malformed frame or mid-frame disconnect; stream is unusable
+  kNeedMore,  ///< FrameDecoder only: it holds part of a frame
 };
 
 /// Reads one frame from `fd`, blocking. Never throws: wire trouble is a
 /// status, not an exception (see sock.h's error model).
 ReadStatus readFrame(int fd, Frame& out);
+
+/// Incremental decoding for a non-blocking reader: append bytes as they
+/// arrive, pop frames with next() as they complete (after kBad the stream
+/// cannot be resynchronized).
+class FrameDecoder {
+ public:
+  void append(const char* data, size_t n) { buf_.append(data, n); }
+  ReadStatus next(Frame& out);
+  bool empty() const { return buf_.size() == used_; }  ///< between frames
+
+ private:
+  std::string buf_;
+  size_t used_ = 0;  ///< prefix of buf_ already popped as frames
+};
 
 // --- payload codecs ---------------------------------------------------------
 // Codecs throw cati::CorruptError on malformed payloads (the daemon maps

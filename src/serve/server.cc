@@ -1,6 +1,13 @@
 #include "serve/server.h"
 
+#include <fcntl.h>
+#include <poll.h>
+#include <sys/socket.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
+#include <cstring>
 #include <optional>
 #include <sstream>
 #include <utility>
@@ -11,6 +18,14 @@
 
 namespace cati::serve {
 
+namespace {
+
+std::string errorFrame(ErrorCode code, const std::string& msg) {
+  return encodeFrame(MsgType::kError, encodeErrorReply(ErrorReply{code, msg}));
+}
+
+}  // namespace
+
 Server::Server(Engine& engine, ServerConfig cfg)
     : engine_(engine),
       cfg_(std::move(cfg)),
@@ -20,6 +35,12 @@ Server::Server(Engine& engine, ServerConfig cfg)
       decodeCache_(cfg_.decodeCacheBytes) {
   if (cfg_.maxGroup == 0) cfg_.maxGroup = 1;
   if (cfg_.maxOutbound == 0) cfg_.maxOutbound = 1;
+  int wakeFds[2];
+  if (::pipe2(wakeFds, O_NONBLOCK | O_CLOEXEC) != 0) {
+    throw IoError(std::string("pipe2: ") + std::strerror(errno));
+  }
+  wakeRead_ = sock::Fd(wakeFds[0]);
+  wakeWrite_ = sock::Fd(wakeFds[1]);
 }
 
 Server::~Server() { stop(); }
@@ -28,7 +49,7 @@ void Server::start() {
   if (started_) return;
   started_ = true;
   batchThread_ = std::thread([this] { batchLoop(); });
-  acceptThread_ = std::thread([this] { acceptLoop(); });
+  ioThread_ = std::thread([this] { ioLoop(); });
 }
 
 bool Server::waitUntilStopRequested(std::chrono::milliseconds timeout) {
@@ -54,33 +75,31 @@ void Server::pauseBatchForTest(bool paused) {
 }
 
 void Server::pauseWritersForTest(bool paused) {
-  writersPaused_.store(paused);
-  std::lock_guard lk(connsMu_);
-  for (const auto& conn : conns_) {
-    std::lock_guard cl(conn->mu);
-    conn->cv.notify_all();
+  {
+    std::lock_guard lk(connsMu_);
+    writersPaused_ = paused;
   }
+  wake();
 }
 
 void Server::stop() {
   if (stopped_.exchange(true)) return;
   requestStop();
 
-  // 1. Close admission and clear the test pauses so nothing below can park.
+  // 1. Close admission and the listener (new connects are refused and the
+  //    I/O thread's next accept4 fails; shutdown(2) is safe while it polls),
+  //    and clear the test pauses so nothing below can park.
   {
     std::lock_guard lk(queueMu_);
     rejectNew_ = true;
     batchPaused_ = false;
     queueCv_.notify_all();
   }
+  ::shutdown(listener_.fd(), SHUT_RDWR);
   pauseWritersForTest(false);
 
-  // 2. Stop accepting.
-  listener_.shutdownNow();
-  if (acceptThread_.joinable()) acceptThread_.join();
-
-  // 3. Drain: the batch loop processes every queued job, then exits — every
-  //    admitted request gets its reply computed.
+  // 2. Drain: the batch loop processes every queued job, then exits — every
+  //    admitted request gets its reply computed and queued.
   {
     std::lock_guard lk(queueMu_);
     draining_ = true;
@@ -88,223 +107,214 @@ void Server::stop() {
   }
   if (batchThread_.joinable()) batchThread_.join();
 
-  // 4. Flush writers (outbound queues now hold all remaining replies), then
-  //    unblock and join the readers.
-  std::vector<std::shared_ptr<Conn>> conns;
+  // 3. Flush: no more reads; the I/O thread closes each connection once its
+  //    outbound queue is written, and exits when none is left.
   {
     std::lock_guard lk(connsMu_);
-    conns = conns_;
+    flushing_ = true;
+    for (auto& [id, conn] : conns_) conn.eof = true;
   }
-  for (const auto& conn : conns) {
-    std::lock_guard cl(conn->mu);
-    conn->flushing = true;
-    conn->cv.notify_all();
-  }
-  for (const auto& conn : conns) {
-    if (conn->writer.joinable()) conn->writer.join();
-    conn->fd.shutdownNow();
-    if (conn->reader.joinable()) conn->reader.join();
-  }
-  std::lock_guard lk(connsMu_);
-  conns_.clear();
+  wake();
+  if (ioThread_.joinable()) ioThread_.join();
 }
 
-// --- connections ------------------------------------------------------------
+// --- connections: the I/O thread --------------------------------------------
 
-void Server::acceptLoop() {
+void Server::ioLoop() {
   static obs::Counter& accepted = obs::counter("serve.conns.accepted");
+  std::vector<pollfd> fds;
+  std::vector<uint64_t> ids;  // ids[i] owns fds[i + 2]
+  std::vector<char> buf(64 << 10);
+  bool listening = true;
   for (;;) {
-    sock::Fd fd = listener_.accept();
-    if (!fd.valid()) break;  // shutdownNow (or a fatal accept error)
-    reapFinishedConns();
-    auto conn = std::make_shared<Conn>();
-    conn->fd = std::move(fd);
+    fds.assign({{wakeRead_.get(), POLLIN, 0},
+                {listening ? listener_.fd() : -1, POLLIN, 0}});
+    ids.clear();
     {
       std::lock_guard lk(connsMu_);
-      conn->id = nextConnId_++;
-      conns_.push_back(conn);
-    }
-    accepted.add();
-    conn->reader = std::thread([this, conn] { readerLoop(*conn); });
-    conn->writer = std::thread([this, conn] { writerLoop(*conn); });
-  }
-}
-
-std::shared_ptr<Server::Conn> Server::findConn(uint64_t id) {
-  std::lock_guard lk(connsMu_);
-  for (const auto& conn : conns_) {
-    if (conn->id == id) return conn;
-  }
-  return nullptr;
-}
-
-void Server::reapFinishedConns() {
-  std::vector<std::shared_ptr<Conn>> dead;
-  {
-    std::lock_guard lk(connsMu_);
-    auto alive = conns_.begin();
-    for (auto& conn : conns_) {
-      if (conn->exited.load() == 2) {
-        dead.push_back(std::move(conn));
-      } else {
-        *alive++ = std::move(conn);
-      }
-    }
-    conns_.erase(alive, conns_.end());
-  }
-  for (const auto& conn : dead) {
-    if (conn->reader.joinable()) conn->reader.join();
-    if (conn->writer.joinable()) conn->writer.join();
-  }
-}
-
-void Server::readerLoop(Conn& conn) {
-  static obs::Counter& received = obs::counter("serve.requests.received");
-  static obs::Counter& overload = obs::counter("serve.requests.overload");
-  static obs::Counter& stopping = obs::counter("serve.requests.stopping");
-  static obs::Counter& badFrames = obs::counter("serve.conn.bad_frames");
-  for (;;) {
-    Frame f;
-    const ReadStatus st = readFrame(conn.fd.get(), f);
-    if (st == ReadStatus::kEof) break;
-    if (st == ReadStatus::kBad) {
-      // Malformed frame or mid-frame disconnect: the stream cannot be
-      // resynchronized. Say why (when the peer still listens) and hang up.
-      badFrames.add();
-      sendError(conn.id, ErrorCode::kBadRequest, "malformed frame");
-      break;
-    }
-    switch (f.type) {
-      case MsgType::kPing:
-        trySend(conn.id, encodeFrame(MsgType::kPong, ""));
-        break;
-      case MsgType::kMetrics:
-        trySend(conn.id,
-                encodeFrame(MsgType::kMetricsJson,
-                            obs::Registry::global().snapshot().toJson()));
-        break;
-      case MsgType::kAnalyze: {
-        received.add();
-        Job job;
-        job.connId = conn.id;
-        job.payload = std::move(f.payload);
-        switch (pushJob(std::move(job))) {
-          case PushResult::kOk:
-            break;
-          case PushResult::kFull:
-            overload.add();
-            sendError(conn.id, ErrorCode::kOverload,
-                      "admission queue full; retry later");
-            break;
-          case PushResult::kStopping:
-            stopping.add();
-            sendError(conn.id, ErrorCode::kShuttingDown,
-                      "daemon is draining");
-            break;
-        }
-        break;
-      }
-      default:
-        // A well-framed message of a type we do not serve: typed error, but
-        // the stream is still synchronized — keep the connection.
-        sendError(conn.id, ErrorCode::kBadRequest, "unknown message type");
-        break;
-    }
-  }
-  // Reader is done: the writer drains whatever is queued, then exits.
-  {
-    std::lock_guard lk(conn.mu);
-    conn.flushing = true;
-    conn.cv.notify_all();
-  }
-  conn.exited.fetch_add(1);
-}
-
-void Server::writerLoop(Conn& conn) {
-  static obs::Counter& dropped = obs::counter("serve.conn.dropped_replies");
-  for (;;) {
-    std::string frame;
-    {
-      std::unique_lock lk(conn.mu);
-      conn.cv.wait(lk, [&] {
-        if (conn.closed) return true;
-        if (conn.flushing && conn.outbound.empty()) return true;
-        return !conn.outbound.empty() && !writersPaused_.load();
+      // Sockets close only here, never while poll() watches them.
+      std::erase_if(conns_, [](const auto& entry) {
+        const Conn& c = entry.second;
+        return c.closed || (c.eof && c.inFlight == 0 && c.outbound.empty());
       });
-      if (conn.closed) break;
-      if (conn.outbound.empty()) break;  // flushing and drained
-      if (writersPaused_.load()) continue;
-      frame = std::move(conn.outbound.front());
-      conn.outbound.pop_front();
+      if (flushing_ && conns_.empty()) return;
+      for (const auto& [id, c] : conns_) {
+        short events = c.eof ? 0 : POLLIN;
+        if (!writersPaused_ && !c.outbound.empty()) events |= POLLOUT;
+        fds.push_back({c.fd.get(), events, 0});
+        ids.push_back(id);
+      }
     }
-    if (!sock::sendAll(conn.fd.get(), frame.data(), frame.size())) {
-      // The peer is gone. A reply queued before its reader saw the hang-up
-      // is as undelivered as one trySend refused after it, and so is
-      // everything still queued behind it.
-      std::lock_guard lk(conn.mu);
-      dropped.add(1 + conn.outbound.size());
-      conn.outbound.clear();
-      conn.closed = true;
-      conn.cv.notify_all();
-      break;
+    // No timeout: an idle daemon sleeps until a socket or the pipe wakes it.
+    if (::poll(fds.data(), fds.size(), -1) < 0) continue;  // EINTR
+    if (fds[0].revents != 0) {
+      while (::read(wakeRead_.get(), buf.data(), buf.size()) > 0) {
+      }
+    }
+    std::lock_guard lk(connsMu_);
+    while (fds[1].revents != 0) {
+      const int fd = ::accept4(listener_.fd(), nullptr, nullptr,
+                               SOCK_NONBLOCK | SOCK_CLOEXEC);
+      if (fd >= 0) {
+        conns_[nextConnId_++].fd = sock::Fd(fd);
+        accepted.add();
+      } else if (errno != EINTR && errno != ECONNABORTED) {
+        // EAGAIN: the backlog is empty. Anything else (stop()'s shutdown,
+        // EMFILE) would keep the listener readable: stop polling it.
+        listening = errno == EAGAIN || errno == EWOULDBLOCK;
+        break;
+      }
+    }
+    for (size_t i = 0; i < ids.size(); ++i) {
+      const short revents = fds[i + 2].revents;
+      Conn& conn = conns_.at(ids[i]);
+      if (conn.closed) continue;  // dropped by trySend since poll() began
+      if (!conn.eof && (revents & (POLLIN | POLLHUP | POLLERR)) != 0) {
+        readFrom(ids[i], conn, buf.data(), buf.size());
+      }
+      // A hang-up after EOF: the peer closed both directions, so nothing
+      // queued for it can be delivered.
+      if (conn.eof && (revents & (POLLHUP | POLLERR)) != 0) hangUp(conn);
+      // Ready or not: the batch loop may have queued a reply since.
+      if (!writersPaused_ && !conn.closed) flush(conn);
     }
   }
-  {
-    // No more sends will happen; unblock a reader stuck on a vanished peer
-    // and make trySend fail fast from here on.
-    std::lock_guard lk(conn.mu);
-    conn.closed = true;
-    conn.cv.notify_all();
-  }
-  conn.fd.shutdownNow();
-  conn.exited.fetch_add(1);
 }
 
-bool Server::trySend(uint64_t connId, std::string frame) {
+void Server::readFrom(uint64_t connId, Conn& conn, char* buf, size_t size) {
+  static obs::Counter& badFrames = obs::counter("serve.conn.bad_frames");
+  const ssize_t got = ::recv(conn.fd.get(), buf, size, 0);
+  if (got < 0) {
+    if (errno != EAGAIN && errno != EWOULDBLOCK && errno != EINTR) {
+      hangUp(conn);  // reset by the peer
+    }
+    return;
+  }
+  conn.eof = got == 0;
+  conn.in.append(buf, static_cast<size_t>(got));
+  Frame f;
+  ReadStatus st = ReadStatus::kNeedMore;
+  while (!conn.closed && (st = conn.in.next(f)) == ReadStatus::kOk) {
+    handleFrame(connId, conn, f);
+  }
+  if (st == ReadStatus::kBad || (conn.eof && !conn.in.empty())) {
+    // A malformed frame, or a hang-up mid-frame: the stream cannot be
+    // resynchronized. Say why (when the peer still listens) and close once
+    // that is written.
+    badFrames.add();
+    conn.eof = true;
+    enqueue(conn, errorFrame(ErrorCode::kBadRequest, "malformed frame"));
+  }
+}
+
+void Server::handleFrame(uint64_t connId, Conn& conn, Frame& f) {
+  static obs::Counter& received = obs::counter("serve.requests.received");
+  switch (f.type) {
+    case MsgType::kPing:
+      enqueue(conn, encodeFrame(MsgType::kPong, ""));
+      break;
+    case MsgType::kMetrics:
+      enqueue(conn, encodeFrame(MsgType::kMetricsJson,
+                                obs::Registry::global().snapshot().toJson()));
+      break;
+    case MsgType::kAnalyze:
+      received.add();
+      if (auto refusal = pushJob(Job{connId, std::move(f.payload)})) {
+        enqueue(conn, std::move(*refusal));
+      } else {
+        ++conn.inFlight;  // under connsMu_: the job's reply cannot overtake
+      }
+      break;
+    default:
+      // A well-framed message of a type we do not serve: typed error, but
+      // the stream is still synchronized — keep the connection.
+      enqueue(conn,
+              errorFrame(ErrorCode::kBadRequest, "unknown message type"));
+      break;
+  }
+}
+
+void Server::flush(Conn& conn) {
+  while (!conn.outbound.empty()) {
+    const std::string& frame = conn.outbound.front();
+    const ssize_t n = ::send(conn.fd.get(), frame.data() + conn.sent,
+                             frame.size() - conn.sent, MSG_NOSIGNAL);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      if (errno != EAGAIN && errno != EWOULDBLOCK) hangUp(conn);
+      return;  // a full socket: POLLOUT resumes the write
+    }
+    conn.sent += static_cast<size_t>(n);
+    if (conn.sent == frame.size()) {
+      conn.outbound.pop_front();
+      conn.sent = 0;
+    }
+  }
+}
+
+void Server::hangUp(Conn& conn) {
+  static obs::Counter& dropped = obs::counter("serve.conn.dropped_replies");
+  dropped.add(conn.outbound.size());
+  conn.outbound.clear();
+  conn.closed = true;
+}
+
+void Server::enqueue(Conn& conn, std::string frame) {
   static obs::Counter& dropped = obs::counter("serve.conn.dropped_replies");
   static obs::Counter& slowDropped = obs::counter("serve.conn.slow_dropped");
-  const std::shared_ptr<Conn> conn = findConn(connId);
-  if (!conn) {
+  if (conn.closed) {
     dropped.add();
-    return false;
-  }
-  std::lock_guard lk(conn->mu);
-  if (conn->closed) {
-    dropped.add();
-    return false;
-  }
-  if (conn->outbound.size() >= cfg_.maxOutbound) {
+  } else if (conn.outbound.size() >= cfg_.maxOutbound) {
     // Slow client: its replies are piling up faster than it reads them.
-    // Drop the connection rather than block or buffer unboundedly — the
-    // batch loop must never wait on one peer's socket.
+    // Drop the connection rather than buffer unboundedly.
     slowDropped.add();
-    conn->closed = true;
-    conn->fd.shutdownNow();
-    conn->cv.notify_all();
-    return false;
+    conn.closed = true;
+  } else {
+    conn.outbound.push_back(std::move(frame));
   }
-  conn->outbound.push_back(std::move(frame));
-  conn->cv.notify_all();
-  return true;
 }
 
-void Server::sendError(uint64_t connId, ErrorCode code,
-                       const std::string& msg) {
-  trySend(connId, encodeFrame(MsgType::kError,
-                              encodeErrorReply(ErrorReply{code, msg})));
+void Server::wake() {
+  const char byte = 1;
+  // A full pipe already holds a wake-up the I/O thread has yet to read.
+  [[maybe_unused]] const ssize_t n = ::write(wakeWrite_.get(), &byte, 1);
+}
+
+void Server::trySend(uint64_t connId, std::string frame) {
+  static obs::Counter& dropped = obs::counter("serve.conn.dropped_replies");
+  {
+    std::lock_guard lk(connsMu_);
+    const auto it = conns_.find(connId);
+    if (it == conns_.end()) {
+      dropped.add();
+      return;
+    }
+    --it->second.inFlight;
+    enqueue(it->second, std::move(frame));
+  }
+  wake();
 }
 
 // --- admission + batch loop -------------------------------------------------
 
-Server::PushResult Server::pushJob(Job job) {
+std::optional<std::string> Server::pushJob(Job job) {
   static obs::Counter& queued = obs::counter("serve.requests.queued");
+  static obs::Counter& overload = obs::counter("serve.requests.overload");
+  static obs::Counter& stopping = obs::counter("serve.requests.stopping");
   std::lock_guard lk(queueMu_);
-  if (rejectNew_) return PushResult::kStopping;
-  if (queue_.size() >= cfg_.maxQueue) return PushResult::kFull;
+  if (rejectNew_) {
+    stopping.add();
+    return errorFrame(ErrorCode::kShuttingDown, "daemon is draining");
+  }
+  if (queue_.size() >= cfg_.maxQueue) {
+    overload.add();
+    return errorFrame(ErrorCode::kOverload,
+                      "admission queue full; retry later");
+  }
   queue_.push_back(std::move(job));
   queued.add();
   queueCv_.notify_all();
-  return PushResult::kOk;
+  return std::nullopt;
 }
 
 bool Server::popGroup(std::vector<Job>& out) {
@@ -349,11 +359,6 @@ void Server::processGroup(std::vector<Job>& group) {
   groups.add();
   groupedReqs.add(group.size());
   groupSize.observe(static_cast<double>(group.size()));
-
-  const auto errorFrame = [](ErrorCode code, const std::string& msg) {
-    return encodeFrame(MsgType::kError,
-                       encodeErrorReply(ErrorReply{code, msg}));
-  };
 
   // Phase 1 per job: cache lookup, decode, prepare. Misses record their
   // slice of the coalesced VUC buffer.

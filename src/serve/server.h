@@ -1,18 +1,19 @@
 // The cati-serve daemon core (DESIGN.md §10): one Engine loaded once, many
-// connections, one batch loop.
+// connections, two threads (plus the pool) however many clients connect.
 //
-// Thread model:
-//
-//   accept thread           accepts connections, reaps finished ones
-//   per-connection reader   parses frames; answers ping/metrics inline;
-//                           enqueues analyze jobs (or typed overload /
-//                           shutting-down errors when the queue rejects)
-//   per-connection writer   drains a bounded outbound queue to the socket
-//   batch loop (ONE thread) pops up to maxGroup queued jobs, serves cache
+//   I/O thread (ONE)        poll()s a wake pipe, the listener and every
+//                           connection: accepts, reads frames, answers
+//                           ping/metrics inline, admits analyze jobs (or
+//                           replies with a typed overload / shutting-down
+//                           error), writes each outbound queue as the
+//                           socket takes it; the only thread that opens or
+//                           closes a socket
+//   batch loop (ONE)        pops up to maxGroup queued jobs, serves cache
 //                           hits, prepares misses, runs a single coalesced
 //                           predictRouted over every miss's VUCs (fan-out
 //                           happens inside, on the server's pool), renders
-//                           and caches replies, hands them to the writers
+//                           and caches replies, queues them and pokes the
+//                           wake pipe
 //
 // The engine, the result cache and all analysis state are touched by the
 // batch loop only — no locks around the model, no concurrent-Engine hazards,
@@ -23,12 +24,12 @@
 // Backpressure, in order of defence:
 //   * bounded admission queue (maxQueue): a full queue is a typed kOverload
 //     reply, not an unbounded buffer;
-//   * bounded per-connection outbound queue (maxOutbound) with non-blocking
-//     handoff: a client that stops reading gets dropped
-//     (serve.conn.slow_dropped) — the batch loop NEVER blocks on a socket;
+//   * bounded per-connection outbound queue (maxOutbound): a client that
+//     stops reading gets dropped (serve.conn.slow_dropped) — no thread ever
+//     blocks on a socket;
 //   * clean shutdown: stop() closes admission (kShuttingDown replies),
-//     drains every queued job through the batch loop, flushes writers, then
-//     joins everything.
+//     drains every queued job through the batch loop, flushes every
+//     connection, then joins both threads.
 #pragma once
 
 #include <atomic>
@@ -37,10 +38,11 @@
 #include <cstdint>
 #include <deque>
 #include <filesystem>
-#include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "cati/engine.h"
@@ -70,8 +72,8 @@ struct ServerConfig {
 
 class Server {
  public:
-  /// Binds the listen address (throws cati::IoError on failure) and opens
-  /// the result cache; no threads yet.
+  /// Binds the listen address and opens the wake pipe (throws
+  /// cati::IoError on failure) and the result cache; no threads yet.
   Server(Engine& engine, ServerConfig cfg);
   ~Server();
 
@@ -81,7 +83,7 @@ class Server {
   /// The bound address — for tcp:0 it carries the real ephemeral port.
   const sock::Address& bound() const { return listener_.bound(); }
 
-  /// Spawns the accept and batch threads and starts serving.
+  /// Spawns the I/O and batch threads and starts serving.
   void start();
 
   /// Blocks until requestStop() was called (by --max-requests or another
@@ -92,15 +94,14 @@ class Server {
   bool waitUntilStopRequested(std::chrono::milliseconds timeout =
                                   std::chrono::milliseconds(0));
 
-  bool stopRequested() const { return stopRequested_.load(); }
-
   /// Marks the server as stopping and wakes waitUntilStopRequested().
   /// Async-signal-unsafe parts (locks) are confined to stop(); this only
   /// flips an atomic and pokes a self-pipe-free cv via a dedicated mutex.
   void requestStop();
 
   /// Graceful shutdown: stop accepting, reject new work, drain queued jobs
-  /// through the batch loop, flush writers, join every thread. Idempotent.
+  /// through the batch loop, flush every connection, join both threads.
+  /// Idempotent.
   void stop();
 
   // --- deterministic test seams ---
@@ -108,9 +109,9 @@ class Server {
   /// test can force M requests into one coalesced group, or overload the
   /// admission queue, without racing the loop. stop() clears the pause.
   void pauseBatchForTest(bool paused);
-  /// While paused the connection writers drain nothing: replies pile up in
-  /// the bounded outbound queues, so a test can exercise the slow-client
-  /// drop deterministically. stop() clears the pause.
+  /// While paused the I/O thread sends nothing: replies pile up in the
+  /// bounded outbound queues, so a test can exercise the slow-client drop
+  /// deterministically. stop() clears the pause.
   void pauseWritersForTest(bool paused);
 
  private:
@@ -119,45 +120,45 @@ class Server {
     std::string payload;  ///< raw analyze payload — the cache key
   };
 
-  enum class PushResult : uint8_t { kOk, kFull, kStopping };
-
+  /// One client connection; every field is guarded by connsMu_.
   struct Conn {
-    uint64_t id = 0;
     sock::Fd fd;
-    std::thread reader;
-    std::thread writer;
-
-    std::mutex mu;
-    std::condition_variable cv;
+    FrameDecoder in;                   ///< bytes read, not yet framed
     std::deque<std::string> outbound;  ///< encoded frames awaiting send
-    bool closed = false;    ///< no more sends accepted
-    bool flushing = false;  ///< writer exits once outbound is empty
-    std::atomic<int> exited{0};  ///< reapable when both threads finished
+    size_t sent = 0;      ///< bytes of outbound.front() already written
+    size_t inFlight = 0;  ///< admitted analyze jobs not yet answered
+    /// Reading stopped (EOF, bad frame, stop()): close once inFlight and
+    /// outbound are empty, so a half-closed peer still gets its replies.
+    bool eof = false;
+    bool closed = false;  ///< dropped: closed unflushed, no more sends
   };
 
-  void acceptLoop();
-  void readerLoop(Conn& conn);
-  void writerLoop(Conn& conn);
+  void ioLoop();
+  /// One recv() into `buf`, then every frame it completes.
+  void readFrom(uint64_t connId, Conn& conn, char* buf, size_t size);
+  void handleFrame(uint64_t connId, Conn& conn, Frame& f);
+  void flush(Conn& conn);    ///< writes until done or the socket is full
+  void hangUp(Conn& conn);   ///< peer gone: queued replies are dropped
+  /// Queues a frame, or drops the connection when its queue is full.
+  void enqueue(Conn& conn, std::string frame);
+  void wake();
+
   void batchLoop();
   /// One coalesced pass over up to maxGroup jobs (cache hits answered from
   /// the cache, misses through one predictRouted).
   void processGroup(std::vector<Job>& group);
 
-  /// Hands an encoded frame to `conn`'s writer without ever blocking: false
-  /// (and a dropped connection) when the outbound queue is full or the
-  /// connection already closed.
-  bool trySend(uint64_t connId, std::string frame);
-  void sendError(uint64_t connId, ErrorCode code, const std::string& msg);
+  /// Queues the reply to one admitted analyze job of `connId` and wakes the
+  /// I/O thread; never blocks. A reply for a closed connection is dropped.
+  void trySend(uint64_t connId, std::string frame);
 
-  PushResult pushJob(Job job);
+  /// Queues an analyze job; the typed error reply when admission refuses.
+  std::optional<std::string> pushJob(Job job);
   /// Pops 1..maxGroup jobs; blocks while the queue is empty or the batch
   /// loop is paused. False when draining finished and the queue is empty —
   /// the batch loop's exit condition.
   bool popGroup(std::vector<Job>& out);
 
-  /// Looks up a live connection by id (nullptr after it was reaped).
-  std::shared_ptr<Conn> findConn(uint64_t id);
-  void reapFinishedConns();
   /// Notes one analyze reply toward --max-requests.
   void noteAnalyzeReply();
 
@@ -170,12 +171,16 @@ class Server {
   /// batch loop; off (0 bytes) when decodeCacheBytes == 0.
   loader::DecodeCache decodeCache_;
 
-  std::thread acceptThread_;
+  sock::Fd wakeRead_;  ///< the I/O thread polls this end; wake() writes
+  sock::Fd wakeWrite_;
+  std::thread ioThread_;
   std::thread batchThread_;
 
   std::mutex connsMu_;
-  std::vector<std::shared_ptr<Conn>> conns_;
+  std::unordered_map<uint64_t, Conn> conns_;
   uint64_t nextConnId_ = 1;
+  bool flushing_ = false;       ///< I/O thread: exit once conns_ is empty
+  bool writersPaused_ = false;  ///< test seam
 
   std::mutex queueMu_;
   std::condition_variable queueCv_;
@@ -183,7 +188,6 @@ class Server {
   bool draining_ = false;      ///< batch loop: finish the queue, then exit
   bool rejectNew_ = false;     ///< admission: reply kShuttingDown
   bool batchPaused_ = false;   ///< test seam
-  std::atomic<bool> writersPaused_{false};  ///< test seam
 
   std::mutex stopMu_;
   std::condition_variable stopCv_;

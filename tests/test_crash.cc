@@ -87,12 +87,12 @@ TEST_F(CrashSweepTest, KilledAtEveryBoundaryResumesToIdenticalModelFile) {
   ASSERT_FALSE(baseline.empty());
 
   for (int boundary = 1; boundary <= kBoundaries; ++boundary) {
-    const stdfs::path ck = dir_ / ("ck" + std::to_string(boundary));
+    const std::string index = std::to_string(boundary);
+    const stdfs::path ck = dir_ / ("ck" + index);
     const std::string ckFlag = " --checkpoint " + ck.string();
-    const std::string model = "m" + std::to_string(boundary) + ".bin";
+    const std::string model = "m" + index + ".bin";
 
-    train(model, ckFlag, rc,
-          "CATI_FAULT_SPEC=kill@train.checkpoint:" + std::to_string(boundary));
+    train(model, ckFlag, rc, "CATI_FAULT_SPEC=kill@train.checkpoint:" + index);
     ASSERT_EQ(rc, kKillExit) << "boundary " << boundary
                              << ": injected kill did not fire";
     EXPECT_FALSE(stdfs::exists(dir_ / model))

@@ -6,22 +6,35 @@
 // never throw, never UB. Run under -DCATI_SANITIZE=ON in CI so "never UB"
 // is checked by ASan+UBSan, not just by not-crashing.
 //
+// The cati-serve wire decoders are fuzzed here too: mutated CSRV frame
+// streams through the daemon's incremental decoder and through readFrame
+// (which must agree frame for frame), and mutated AnalyzeRequest payloads
+// through their codec.
+//
 // Self-contained (common/rng.h, no libFuzzer). Deterministic: every
 // mutation derives from fixed seeds. CATI_FUZZ_ITERS scales the iteration
-// count (default 10500 across the three tests).
+// count (default 10500 across the container/structure/random-bytes tests).
+#include <sys/socket.h>
+
+#include <algorithm>
 #include <cstdlib>
+#include <cstring>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include <gtest/gtest.h>
 
 #include "asmx/encode.h"
 #include "cati/engine.h"
 #include "common/rng.h"
+#include "common/serialize.h"
+#include "common/sock.h"
 #include "corpus/corpus.h"
 #include "loader/cache.h"
 #include "loader/image.h"
 #include "serve/analysis.h"
+#include "serve/protocol.h"
 #include "support/env.h"
 #include "synth/synth.h"
 
@@ -324,6 +337,153 @@ TEST_F(FuzzTest, DecoderResyncIsTotalOnRandomCode) {
     bool sawByte = false;
     for (const auto& ins : insns) sawByte |= asmx::isQuarantinedByte(ins);
     EXPECT_EQ(diags.empty(), !sawByte) << "iteration " << i;
+  }
+}
+
+// --- the cati-serve wire decoders --------------------------------------------
+
+/// Frame header size: magic u32 | type u32 | payloadSize u64.
+constexpr size_t kFrameHeader = 16;
+
+/// One well-formed analyze request around (a prefix of) a real image.
+std::string analyzePayload(const std::string& image, Rng& rng) {
+  serve::AnalyzeRequest req;
+  req.confMin = static_cast<float>(rng.uniformInt(0, 100)) / 100.0F;
+  req.image = image.substr(0, static_cast<size_t>(rng.uniformInt(
+                                  0, static_cast<int64_t>(image.size()))));
+  return serve::encodeAnalyzeRequest(req);
+}
+
+/// Rewrites the CRC trailer of every frame the (possibly mutated) headers
+/// still delimit, so a mutant reaches the parser behind the checksum
+/// instead of failing at it.
+void resealFrames(std::string& wire) {
+  size_t at = 0;
+  while (wire.size() - at >= kFrameHeader + sizeof(uint32_t)) {
+    uint64_t size = 0;
+    std::memcpy(&size, wire.data() + at + 8, sizeof(size));
+    if (size > wire.size() - at - kFrameHeader - sizeof(uint32_t)) break;
+    const uint32_t crc = io::crc32(wire.data() + at + kFrameHeader, size);
+    std::memcpy(wire.data() + at + kFrameHeader + size, &crc, sizeof(crc));
+    at += kFrameHeader + size + sizeof(uint32_t);
+  }
+}
+
+/// What a decoder made of a byte stream: the frames it produced, and how
+/// the stream ended.
+struct WireOutcome {
+  std::vector<serve::Frame> frames;
+  bool bad = false;  ///< malformed frame, or the stream ended mid-frame
+};
+
+/// The daemon's path: bytes arrive in random-sized chunks and the
+/// incremental decoder pops frames as they complete.
+WireOutcome decodeInChunks(const std::string& wire, Rng& rng) {
+  WireOutcome out;
+  serve::FrameDecoder dec;
+  size_t at = 0;
+  while (at < wire.size()) {
+    const auto n = std::min(wire.size() - at,
+                            static_cast<size_t>(rng.uniformInt(1, 97)));
+    dec.append(wire.data() + at, n);
+    at += n;
+    serve::Frame f;
+    for (;;) {
+      const serve::ReadStatus st = dec.next(f);
+      if (st == serve::ReadStatus::kNeedMore) break;
+      if (st == serve::ReadStatus::kBad) {
+        out.bad = true;
+        return out;
+      }
+      out.frames.push_back(std::move(f));
+    }
+  }
+  out.bad = !dec.empty();
+  return out;
+}
+
+/// The client's path: blocking readFrame over a socket the stream was
+/// written to in full.
+WireOutcome decodeWithReadFrame(const std::string& wire) {
+  int fds[2];
+  EXPECT_EQ(::socketpair(AF_UNIX, SOCK_STREAM, 0, fds), 0);
+  sock::Fd reader(fds[0]);
+  {
+    const sock::Fd writer(fds[1]);
+    EXPECT_TRUE(sock::sendAll(writer.get(), wire.data(), wire.size()));
+  }
+  WireOutcome out;
+  for (;;) {
+    serve::Frame f;
+    const serve::ReadStatus st = serve::readFrame(reader.get(), f);
+    if (st != serve::ReadStatus::kOk) {
+      out.bad = st != serve::ReadStatus::kEof;
+      return out;
+    }
+    out.frames.push_back(std::move(f));
+  }
+}
+
+/// The analyze codec is total, and canonical: whatever it accepts
+/// re-encodes to the same bytes.
+void checkAnalyzePayload(const std::string& payload, int iteration) {
+  try {
+    const serve::AnalyzeRequest req = serve::decodeAnalyzeRequest(payload);
+    EXPECT_EQ(serve::encodeAnalyzeRequest(req), payload)
+        << "iteration " << iteration;
+  } catch (const CorruptError&) {
+    // Rejected: the daemon answers kBadRequest.
+  }
+}
+
+std::string wireDonorImage() {
+  return serializeImage(loader::buildImage(synth::generateBinary(
+      synth::defaultProfile("wire", 0x79, 2), synth::Dialect::Gcc, 1, 13)));
+}
+
+TEST(WireFuzz, MutatedFrameStreamsDecodeAlikeInChunksAndBlocking) {
+  const std::string image = wireDonorImage();
+  const int iters = scaledIters(2000);
+  Rng rng(0xF0220006);
+  for (int i = 0; i < iters; ++i) {
+    std::string wire;
+    const int frames = static_cast<int>(rng.uniformInt(1, 4));
+    for (int k = 0; k < frames; ++k) {
+      if (rng.chance(0.5)) {
+        wire += serve::encodeFrame(serve::MsgType::kAnalyze,
+                                   analyzePayload(image, rng));
+      } else {
+        std::string payload(static_cast<size_t>(rng.uniformInt(0, 64)), '\0');
+        for (char& c : payload) c = static_cast<char>(rng.uniformInt(0, 255));
+        wire += serve::encodeFrame(
+            static_cast<serve::MsgType>(rng.uniformInt(0, 20)), payload);
+      }
+    }
+    wire = mutateBytes(wire, rng);
+    if (rng.chance(0.9)) resealFrames(wire);
+
+    const WireOutcome chunked = decodeInChunks(wire, rng);
+    const WireOutcome blocking = decodeWithReadFrame(wire);
+    ASSERT_EQ(chunked.bad, blocking.bad) << "iteration " << i;
+    ASSERT_EQ(chunked.frames.size(), blocking.frames.size())
+        << "iteration " << i;
+    for (size_t k = 0; k < chunked.frames.size(); ++k) {
+      const serve::Frame& f = chunked.frames[k];
+      EXPECT_EQ(f.type, blocking.frames[k].type) << "iteration " << i;
+      EXPECT_EQ(f.payload, blocking.frames[k].payload) << "iteration " << i;
+      if (f.type == serve::MsgType::kAnalyze) {
+        checkAnalyzePayload(f.payload, i);
+      }
+    }
+  }
+}
+
+TEST(WireFuzz, MutatedAnalyzePayloadsAreRejectedOrCanonical) {
+  const std::string image = wireDonorImage();
+  const int iters = scaledIters(2000);
+  Rng rng(0xF0220007);
+  for (int i = 0; i < iters; ++i) {
+    checkAnalyzePayload(mutateBytes(analyzePayload(image, rng), rng), i);
   }
 }
 

@@ -191,8 +191,9 @@ TEST(ObsRegistry, HandlesAreStableAcrossRegistrations) {
   obs::Histogram& h = reg.histogram("h");
   // Registering more names never invalidates earlier handles.
   for (int i = 0; i < 100; ++i) {
-    reg.counter("c" + std::to_string(i));
-    reg.histogram("g" + std::to_string(i));
+    const std::string index = std::to_string(i);
+    reg.counter("c" + index);
+    reg.histogram("g" + index);
   }
   EXPECT_EQ(&a, &reg.counter("a"));
   EXPECT_EQ(&h, &reg.histogram("h"));

@@ -808,6 +808,84 @@ TEST_F(ServeTest, ReplyQueuedBeforeDisconnectCountsAsDropped) {
   server.stop();
 }
 
+TEST_F(ServeTest, HalfClosedClientGetsItsReplies) {
+  // A client that shuts its write side after its last request still reads:
+  // the daemon answers every analyze job it had admitted, in order, and
+  // only then closes the connection.
+  Engine engine = testsupport::cachedMicroEngine();
+  Engine offline = testsupport::cachedMicroEngine();
+  ServerConfig cfg;
+  cfg.listen = unixAddr();
+  Server server(engine, cfg);
+  server.start();
+  server.pauseBatchForTest(true);
+
+  const std::string img0 = microImageBytes(0, true);
+  const std::string img1 = microImageBytes(0, false);
+  const uint64_t queued0 = counterValue("serve.requests.queued");
+  Client client(server.bound());
+  for (const std::string* img : {&img0, &img1}) {
+    AnalyzeRequest req;
+    req.image = *img;
+    client.send(MsgType::kAnalyze, encodeAnalyzeRequest(req));
+  }
+  ASSERT_EQ(::shutdown(client.fd(), SHUT_WR), 0);
+  ASSERT_TRUE(waitFor(
+      [&] { return counterValue("serve.requests.queued") - queued0 == 2; }));
+  server.pauseBatchForTest(false);
+
+  for (const std::string* img : {&img0, &img1}) {
+    Frame f;
+    ASSERT_EQ(client.recv(f), ReadStatus::kOk);
+    const Expected got = decodeReport(f);
+    const Expected exp = offlineExpected(offline, *img);
+    EXPECT_EQ(got.report, exp.report);
+    EXPECT_EQ(got.diagsText, exp.diagsText);
+  }
+  Frame eof;
+  EXPECT_EQ(client.recv(eof), ReadStatus::kEof);
+  server.stop();
+}
+
+/// This process's thread count.
+size_t threadCount() {
+  size_t n = 0;
+  for (const auto& task : stdfs::directory_iterator("/proc/self/task")) {
+    n += task.is_directory() ? 1 : 0;
+  }
+  return n;
+}
+
+TEST_F(ServeTest, ThreadCountDoesNotGrowWithConnections) {
+  // The daemon runs the pool's jobs-1 workers, the I/O thread and the batch
+  // loop — however many clients are connected.
+  Engine engine = testsupport::cachedMicroEngine();
+  ServerConfig cfg;
+  cfg.listen = unixAddr();
+  cfg.jobs = 2;
+  const size_t before = threadCount();
+  Server server(engine, cfg);
+  server.start();
+  const size_t serving = threadCount();
+  EXPECT_EQ(serving - before, static_cast<size_t>(cfg.jobs) + 1);
+
+  const uint64_t accepted0 = counterValue("serve.conns.accepted");
+  std::vector<std::unique_ptr<Client>> clients;
+  for (int i = 0; i < 64; ++i) {
+    clients.push_back(std::make_unique<Client>(server.bound()));
+  }
+  ASSERT_TRUE(waitFor(
+      [&] { return counterValue("serve.conns.accepted") - accepted0 == 64; }));
+  EXPECT_TRUE(clients.front()->ping());
+  EXPECT_TRUE(clients.back()->ping());
+  EXPECT_EQ(threadCount(), serving);
+
+  clients.clear();
+  EXPECT_TRUE(Client(server.bound()).ping());
+  EXPECT_EQ(threadCount(), serving);
+  server.stop();
+}
+
 TEST_F(ServeTest, SlowClientIsDroppedNotWaitedFor) {
   Engine engine = testsupport::cachedMicroEngine();
   ServerConfig cfg;
